@@ -12,9 +12,15 @@
 //! process no matter how many sweeps touch it — and safely from many
 //! worker threads at once.
 //!
-//! Since PR 6 the infallible miss path does not run a full cold simulation
-//! either: it plans the layer and *assembles* the cost from per-kernel
-//! engine costs memoized in a [`crate::incremental::KernelMemo`], which is
+//! Storage is the crate's one sharded table ([`crate::table`]), shared
+//! with the kernel memo: a lookup is a single identity-hashed probe, and
+//! the opt-in per-shard bound keeps its admit-if-smaller membership with
+//! O(log n) admission and eviction through an ordered digest index that
+//! exists only while the bound is set.
+//!
+//! The infallible miss path does not run a full cold simulation either:
+//! it plans the layer and *assembles* the cost from per-kernel engine
+//! costs memoized in a [`crate::incremental::KernelMemo`], which is
 //! bitwise identical to the cold run (pinned by the backends' `cost ==
 //! plan + simulate` contract and this module's canary tests). The
 //! fallible path stays cold on purpose — fault-injecting backends override
@@ -23,10 +29,9 @@
 //! simulation the incremental path avoided.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use pruneperf_backends::hash::fnv1a;
 use pruneperf_backends::{ConvBackend, CostError};
@@ -34,11 +39,7 @@ use pruneperf_gpusim::{Device, Engine};
 use pruneperf_models::ConvLayerSpec;
 
 use crate::incremental::{EngineStats, KernelMemo};
-
-/// Number of independently locked shards; a power of two so the shard
-/// index is a cheap mask. 16 comfortably out-scales the worker counts the
-/// sweep engine runs with.
-const SHARDS: usize = 16;
+use crate::table::{shard_of, Admission, ShardedTable, TableKey, SHARDS};
 
 /// Magic token that opens every persist file.
 const PERSIST_HEADER: &str = "pruneperf-latency-cache";
@@ -84,11 +85,9 @@ impl CacheKey {
     fn matches(&self, backend: u64, device: &str, layer: &ConvLayerSpec) -> bool {
         self.backend == backend && self.device == device && &self.layer == layer
     }
+}
 
-    /// Total order over keys, used as the eviction tie-break *within* one
-    /// digest bucket (cross-bucket order is by digest). Purely structural —
-    /// no insertion-time or thread-schedule component — so the bounded
-    /// cache's final contents are a function of the query set alone.
+impl TableKey for CacheKey {
     fn order_cmp(&self, other: &CacheKey) -> CmpOrdering {
         let tuple = |k: &CacheKey| {
             (
@@ -144,30 +143,6 @@ fn key_digest(backend: u64, device: &str, layer: &ConvLayerSpec) -> u64 {
     }
     h
 }
-
-/// The digest is already well-mixed, so bucket maps index by it directly
-/// instead of re-hashing through SipHash.
-#[derive(Default)]
-pub(crate) struct IdentityHasher(u64);
-
-impl std::hash::Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type Bucket = Vec<(CacheKey, (f64, f64))>;
-type Shard = HashMap<u64, Bucket, std::hash::BuildHasherDefault<IdentityHasher>>;
 
 /// Per-shard effectiveness counters, updated with relaxed atomics next to
 /// the shard they describe.
@@ -264,15 +239,14 @@ impl fmt::Display for CacheStats {
 /// goes through; standalone instances exist for tests and isolation.
 #[derive(Debug)]
 pub struct LatencyCache {
-    /// Buckets keyed by [`key_digest`]; each holds the (rarely >1) exact
-    /// keys sharing that digest so hash collisions stay correct.
-    shards: Vec<Mutex<Shard>>,
+    /// Entries keyed by [`key_digest`]; also owns the opt-in per-shard
+    /// bound (`0` = unbounded, the default, so batch workloads keep
+    /// today's byte-identical goldens). Long-running processes (`pruneperf
+    /// serve`) set it so the table cannot grow without limit. See
+    /// [`LatencyCache::set_max_entries_per_shard`].
+    table: ShardedTable<CacheKey, (f64, f64)>,
+    /// Query counters, paired with the table's shards by digest.
     counters: Vec<ShardCounters>,
-    /// Opt-in per-shard entry bound; `0` means unbounded (the default, so
-    /// batch workloads keep today's byte-identical goldens). Long-running
-    /// processes (`pruneperf serve`) set it so the table cannot grow
-    /// without limit. See [`LatencyCache::set_max_entries_per_shard`].
-    max_entries: AtomicUsize,
     /// Per-kernel engine-cost memo backing the incremental miss path.
     memo: KernelMemo,
     /// Engine-activity counters. Classified at cache-insert time (win =
@@ -294,9 +268,8 @@ impl LatencyCache {
     /// An empty cache.
     pub fn new() -> Self {
         LatencyCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            table: ShardedTable::new(),
             counters: (0..SHARDS).map(|_| ShardCounters::default()).collect(),
-            max_entries: AtomicUsize::new(0),
             memo: KernelMemo::new(),
             chains_assembled: AtomicU64::new(0),
             engine_runs: AtomicU64::new(0),
@@ -329,59 +302,15 @@ impl LatencyCache {
     /// Shrinking below the current occupancy trims each shard to `cap`
     /// immediately, largest order keys first.
     pub fn set_max_entries_per_shard(&self, cap: usize) {
-        self.max_entries.store(cap, Ordering::Relaxed);
         self.memo.set_max_entries_per_shard(cap);
-        if cap == 0 {
-            return;
-        }
-        for (shard, counters) in self.shards.iter().zip(&self.counters) {
-            // lint: allow(hot-lock) — a different shard each iteration; nothing to hoist
-            let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut dropped = 0u64;
-            while table.values().map(Vec::len).sum::<usize>() > cap {
-                // lint: allow(guard-call) — evict_max only mutates the held shard, takes no lock
-                Self::evict_max(&mut table);
-                dropped += 1;
-            }
-            drop(table);
-            counters.evictions.fetch_add(dropped, Ordering::Relaxed);
+        for (counters, trimmed) in self.counters.iter().zip(self.table.set_cap(cap)) {
+            counters.evictions.fetch_add(trimmed, Ordering::Relaxed);
         }
     }
 
     /// The configured per-shard bound (`0` = unbounded).
     pub fn max_entries_per_shard(&self) -> usize {
-        self.max_entries.load(Ordering::Relaxed)
-    }
-
-    /// Removes the entry with the largest `(digest, key)` order key from
-    /// `table`. No-op on an empty table.
-    fn evict_max(table: &mut Shard) {
-        let mut max_at: Option<(u64, usize, &CacheKey)> = None;
-        for (&digest, bucket) in table.iter() {
-            for (i, (key, _)) in bucket.iter().enumerate() {
-                let greater = match max_at {
-                    None => true,
-                    Some((d, _, incumbent)) => {
-                        digest.cmp(&d).then_with(|| key.order_cmp(incumbent))
-                            == CmpOrdering::Greater
-                    }
-                };
-                if greater {
-                    max_at = Some((digest, i, key));
-                }
-            }
-        }
-        let target = max_at.map(|(digest, i, _)| (digest, i));
-        if let Some((digest, i)) = target {
-            if let Some(bucket) = table.get_mut(&digest) {
-                if i < bucket.len() {
-                    bucket.remove(i);
-                }
-                if bucket.is_empty() {
-                    table.remove(&digest);
-                }
-            }
-        }
+        self.table.cap()
     }
 
     /// `(latency ms, energy mJ)` of one execution, memoized.
@@ -505,27 +434,13 @@ impl LatencyCache {
         device: &Device,
     ) -> Option<(f64, f64)> {
         let digest = key_digest(fingerprint, device.name(), layer);
-        self.shard_counters(digest)
-            .lookups
-            .fetch_add(1, Ordering::Relaxed);
-        // Recover from poisoning: shard entries are pure memoized values,
-        // inserted whole under the lock, so a panicked holder cannot have
-        // left a torn state.
-        let table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let cached = table.get(&digest).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|(k, _)| k.matches(fingerprint, device.name(), layer))
-                .map(|(_, v)| *v)
-        });
-        drop(table);
+        let counters = self.shard_counters(digest);
+        counters.lookups.fetch_add(1, Ordering::Relaxed);
+        let cached = self
+            .table
+            .probe(digest, |k| k.matches(fingerprint, device.name(), layer));
         if cached.is_some() {
-            self.shard_counters(digest)
-                .hits
-                .fetch_add(1, Ordering::Relaxed);
+            counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         cached
     }
@@ -553,100 +468,47 @@ impl LatencyCache {
         value: (f64, f64),
     ) -> bool {
         let digest = key_digest(fingerprint, device.name(), layer);
-        let mut table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let already_present = table.get(&digest).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|(k, _)| k.matches(fingerprint, device.name(), layer))
-        });
-        let mut admitted = false;
-        let mut displaced = false;
-        if !already_present {
-            let key = CacheKey {
-                backend: fingerprint,
-                device: device.name().to_string(),
-                layer: layer.clone(),
-            };
-            let cap = self.max_entries.load(Ordering::Relaxed);
-            let full = cap > 0 && table.values().map(Vec::len).sum::<usize>() >= cap;
-            if full {
-                // Admit-if-smaller: displace the current maximum only when
-                // the candidate orders below it, so membership converges to
-                // the cap-smallest distinct keys regardless of arrival
-                // order (the determinism contract of the bounded mode).
-                if Self::shard_max_exceeds(&table, digest, &key) {
-                    Self::evict_max(&mut table);
-                    displaced = true;
-                    table.entry(digest).or_default().push((key, value));
-                    admitted = true;
-                }
-            } else {
-                table.entry(digest).or_default().push((key, value));
-                admitted = true;
-            }
-        }
-        drop(table);
+        let key = CacheKey {
+            backend: fingerprint,
+            device: device.name().to_string(),
+            layer: layer.clone(),
+        };
+        let admission = self.table.admit(digest, key, value);
         let counters = self.shard_counters(digest);
-        if already_present {
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.misses.fetch_add(1, Ordering::Relaxed);
+        match admission {
+            Admission::Present => counters.hits.fetch_add(1, Ordering::Relaxed),
+            _ => counters.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        self.bill_displacement(digest, admission)
+    }
+
+    /// Counts a displacement as one eviction; returns whether the entry
+    /// was admitted.
+    fn bill_displacement(&self, digest: u64, admission: Admission) -> bool {
+        if admission == (Admission::Admitted { displaced: true }) {
+            self.shard_counters(digest)
+                .evictions
+                .fetch_add(1, Ordering::Relaxed);
         }
-        if displaced {
-            counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
+        matches!(admission, Admission::Admitted { .. })
     }
 
-    /// `true` when some entry in `table` has a `(digest, key)` order key
-    /// strictly greater than the candidate's.
-    fn shard_max_exceeds(table: &Shard, digest: u64, key: &CacheKey) -> bool {
-        table.iter().any(|(&d, bucket)| {
-            bucket
-                .iter()
-                .any(|(k, _)| d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater)
-        })
-    }
-
-    /// The shard holding `digest`.
-    ///
-    /// Shards on the *top* bits: the identity-hashed bucket maps consume
-    /// the low bits for their own indexing, and sharing those across the
-    /// shard split would cluster every shard's keys.
-    fn shard(&self, digest: u64) -> &Mutex<Shard> {
-        // lint: allow(index) — masked with SHARDS - 1, always in-bounds
-        &self.shards[(digest >> 60) as usize & (SHARDS - 1)]
-    }
-
-    /// The counter set paired with [`LatencyCache::shard`] for `digest`.
+    /// The counter set paired with the table shard holding `digest`.
     fn shard_counters(&self, digest: u64) -> &ShardCounters {
-        // lint: allow(index) — masked with SHARDS - 1, always in-bounds
-        &self.counters[(digest >> 60) as usize & (SHARDS - 1)]
+        // lint: allow(index) — shard_of masks with SHARDS - 1, always in-bounds
+        &self.counters[shard_of(digest)]
     }
 
     /// Deliberately poisons every shard lock: a scoped thread takes each
     /// lock and panics while holding it.
     ///
     /// This is the chaos harness's poisoned-lock fault. The cache's own
-    /// accessors recover via [`PoisonError::into_inner`] (entries are
-    /// inserted whole under the lock, so no torn state can exist), and
-    /// callers verify that queries after poisoning still return bitwise
-    /// the same values.
+    /// accessors recover via [`std::sync::PoisonError::into_inner`]
+    /// (entries are inserted whole under the lock, so no torn state can
+    /// exist), and callers verify that queries after poisoning still
+    /// return bitwise the same values.
     pub fn poison_all_shards(&self) {
-        for shard in &self.shards {
-            let result = std::thread::scope(|scope| {
-                scope
-                    .spawn(|| {
-                        let _guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                        panic!("deliberate shard poisoning");
-                    })
-                    .join()
-            });
-            debug_assert!(result.is_err(), "the poisoning thread must panic");
-        }
+        self.table.poison_all();
     }
 
     /// Memoized latency in ms (the `.0` of [`LatencyCache::cost`]).
@@ -719,28 +581,14 @@ impl LatencyCache {
                 misses: c.misses.load(Ordering::Relaxed),
                 failures: c.failures.load(Ordering::Relaxed),
                 evictions: c.evictions.load(Ordering::Relaxed),
-                entries: self.shards[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum(),
+                entries: self.table.shard_len(i),
             })
             .collect()
     }
 
     /// Number of memoized configurations.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.table.len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -754,15 +602,8 @@ impl LatencyCache {
     /// the reset — it records table churn over the cache's lifetime. The
     /// kernel memo and engine counters reset alongside the query counters.
     pub fn clear(&self) {
-        for (shard, counters) in self.shards.iter().zip(&self.counters) {
-            // lint: allow(hot-lock) — one acquisition per shard per reset; sharding splits this lock by design
-            let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let dropped: usize = table.values().map(Vec::len).sum();
-            table.clear();
-            drop(table);
-            counters
-                .evictions
-                .fetch_add(dropped as u64, Ordering::Relaxed);
+        for (counters, dropped) in self.counters.iter().zip(self.table.clear()) {
+            counters.evictions.fetch_add(dropped, Ordering::Relaxed);
             counters.lookups.store(0, Ordering::Relaxed);
             counters.hits.store(0, Ordering::Relaxed);
             counters.misses.store(0, Ordering::Relaxed);
@@ -785,21 +626,12 @@ impl LatencyCache {
     /// regardless of insertion order, thread schedule or whether the cache
     /// was itself restored from a persist file.
     pub fn persist(&self) -> String {
-        let mut entries: Vec<(u64, CacheKey, (f64, f64))> = Vec::new();
-        for shard in &self.shards {
-            let table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (&digest, bucket) in table.iter() {
-                for (key, value) in bucket {
-                    entries.push((digest, key.clone(), *value));
-                }
-            }
-        }
-        entries.sort_by(|(da, ka, _), (db, kb, _)| da.cmp(db).then_with(|| ka.order_cmp(kb)));
+        let entries = self.table.sorted_entries();
         let mut out = format!(
             "{PERSIST_HEADER} v{PERSIST_VERSION} entries={}\n",
             entries.len()
         );
-        for (_, key, (ms, mj)) in &entries {
+        for (key, (ms, mj)) in &entries {
             let l = &key.layer;
             out.push_str(&format!(
                 "{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{:016x}\n",
@@ -823,12 +655,14 @@ impl LatencyCache {
 
     /// Restores entries from a [`LatencyCache::persist`] snapshot.
     ///
-    /// Returns the number of entries admitted. Restoring is **not** a
-    /// query: the hit/miss counters and the engine counters are untouched
-    /// (only eviction displacements are recorded), so a resumed search's
-    /// stats cleanly attribute every subsequent lookup. Keys already
-    /// memoized are skipped (costs are deterministic, so the values agree
-    /// by construction). When a per-shard bound is set, restored keys go
+    /// Returns the number of entries admitted. Every line is parsed and
+    /// validated before any is admitted, so a rejected file leaves the
+    /// cache untouched. Restoring is **not** a query: the hit/miss
+    /// counters and the engine counters are untouched (only eviction
+    /// displacements are recorded), so a resumed search's stats cleanly
+    /// attribute every subsequent lookup. Keys already memoized are
+    /// skipped (costs are deterministic, so the values agree by
+    /// construction). When a per-shard bound is set, restored keys go
     /// through the same admit-if-smaller policy as live inserts, so the
     /// final membership stays a pure function of the key set and the cap.
     ///
@@ -847,7 +681,7 @@ impl LatencyCache {
         if !header.starts_with(&expected) {
             return Err(err(1, "unrecognized persist header/version"));
         }
-        let mut restored = 0usize;
+        let mut parsed: Vec<(CacheKey, (f64, f64))> = Vec::new();
         for (idx, line) in lines {
             let lineno = idx + 1;
             if line.is_empty() {
@@ -895,63 +729,26 @@ impl LatencyCache {
             let mj = f64::from_bits(
                 u64::from_str_radix(fields[12], 16).map_err(|_| err(lineno, "bad energy bits"))?,
             );
-            if self.insert_restored(backend, device, layer, (ms, mj)) {
+            let device = device.to_string();
+            parsed.push((
+                CacheKey {
+                    backend,
+                    device,
+                    layer,
+                },
+                (ms, mj),
+            ));
+        }
+        // Admission mirrors the live bounded-insert policy but does no
+        // query/engine accounting.
+        let mut restored = 0usize;
+        for (key, value) in parsed {
+            let digest = key_digest(key.backend, &key.device, &key.layer);
+            if self.bill_displacement(digest, self.table.admit(digest, key, value)) {
                 restored += 1;
             }
         }
         Ok(restored)
-    }
-
-    /// Admits one restored entry, mirroring the bounded-insert policy but
-    /// without query/engine accounting. Returns `true` when admitted.
-    fn insert_restored(
-        &self,
-        fingerprint: u64,
-        device: &str,
-        layer: ConvLayerSpec,
-        value: (f64, f64),
-    ) -> bool {
-        let digest = key_digest(fingerprint, device, &layer);
-        let mut table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let already_present = table.get(&digest).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|(k, _)| k.matches(fingerprint, device, &layer))
-        });
-        if already_present {
-            return false;
-        }
-        let key = CacheKey {
-            backend: fingerprint,
-            device: device.to_string(),
-            layer,
-        };
-        let cap = self.max_entries.load(Ordering::Relaxed);
-        let full = cap > 0 && table.values().map(Vec::len).sum::<usize>() >= cap;
-        let mut displaced = false;
-        let admitted = if full {
-            if Self::shard_max_exceeds(&table, digest, &key) {
-                Self::evict_max(&mut table);
-                displaced = true;
-                table.entry(digest).or_default().push((key, value));
-                true
-            } else {
-                false
-            }
-        } else {
-            table.entry(digest).or_default().push((key, value));
-            true
-        };
-        drop(table);
-        if displaced {
-            self.shard_counters(digest)
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
     }
 }
 
@@ -1535,6 +1332,19 @@ mod tests {
             assert_eq!(err.line, 2, "{why}: {err}");
         }
         assert!(cache.is_empty(), "failed reloads admit nothing new");
+
+        // A valid line before the corrupt one is not admitted either: the
+        // whole file validates before the cache changes.
+        let source = LatencyCache::new();
+        source.cost(&AclGemm::new(), &l16(), &Device::mali_g72_hikey970());
+        let data = format!("{}0\tdev\tL\t3\n", source.persist());
+        let err = cache.reload(&data).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(
+            cache.is_empty(),
+            "a rejected file leaves the cache untouched"
+        );
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
@@ -1550,6 +1360,26 @@ mod tests {
         assert_eq!(warm.0.to_bits(), orig.0.to_bits());
         assert_eq!(warm.1.to_bits(), orig.1.to_bits());
         assert_eq!(restored.stats().hits, 1);
+    }
+
+    /// The persisted bytes of a bounded cache after a fixed sweep, pinned
+    /// to the digest the per-memo scan implementation produced before the
+    /// shared table replaced it: same membership, same order, same bytes.
+    #[test]
+    fn bounded_persist_bytes_are_pinned() {
+        let cache = LatencyCache::new();
+        cache.set_max_entries_per_shard(3);
+        let backends: [&dyn ConvBackend; 2] = [&AclGemm::new(), &Cudnn::new()];
+        for backend in backends {
+            for device in [Device::mali_g72_hikey970(), Device::jetson_tx2()] {
+                for c in 1..=64usize {
+                    cache.cost(backend, &l16().with_c_out(c).unwrap(), &device);
+                }
+            }
+        }
+        assert_eq!(cache.len(), 48);
+        assert_eq!(cache.stats().evictions, 76);
+        assert_eq!(fnv1a(cache.persist().as_bytes()), 0xc68d_01d4_bf3b_379e);
     }
 
     mod proptests {

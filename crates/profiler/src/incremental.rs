@@ -14,6 +14,12 @@
 //! a chain from memoized costs is **bitwise identical** to a cold
 //! simulation — the memo is invisible to every virtual metric.
 //!
+//! The memo stores its entries in the same [`crate::table::ShardedTable`]
+//! as the layer cache, so it shares that cache's hash lookup, its opt-in
+//! admit-if-smaller bound and the bounded-only ordered index; only the
+//! key type ([`KernelDesc::cost_equivalent`] identity, device / cost
+//! digest / name order) is its own.
+//!
 //! # Counter discipline
 //!
 //! Like the layer cache, counters must be a pure function of the query
@@ -26,24 +32,18 @@
 //! assembly counts (see [`EngineStats::kernel_memo_hits`]).
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pruneperf_backends::hash::fnv1a;
 use pruneperf_gpusim::{Engine, KernelCost, KernelDesc};
 
-use crate::cache::{splitmix, IdentityHasher};
-
-/// Number of independently locked shards (same geometry as the layer
-/// cache: power of two, masked from the digest's top bits).
-const SHARDS: usize = 16;
+use crate::cache::splitmix;
+use crate::table::{Admission, ShardedTable, TableKey};
 
 /// One memo key: a kernel shape on a device. Matching uses
 /// [`KernelDesc::cost_equivalent`], so kernels that differ only in name
 /// or footprint share an entry.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MemoKey {
     device: String,
     kernel: KernelDesc,
@@ -53,10 +53,17 @@ impl MemoKey {
     fn matches(&self, device: &str, kernel: &KernelDesc) -> bool {
         self.device == device && self.kernel.cost_equivalent(kernel)
     }
+}
 
-    /// Structural order used as the within-bucket eviction tie-break
-    /// (cross-bucket order is by digest), mirroring the layer cache's
-    /// `CacheKey::order_cmp`.
+impl PartialEq for MemoKey {
+    fn eq(&self, other: &MemoKey) -> bool {
+        self.matches(&other.device, &other.kernel)
+    }
+}
+
+impl TableKey for MemoKey {
+    /// Mirrors the layer cache's structural order: device, then the
+    /// kernel's cost digest, then its name.
     fn order_cmp(&self, other: &MemoKey) -> CmpOrdering {
         self.device
             .cmp(&other.device)
@@ -65,90 +72,34 @@ impl MemoKey {
     }
 }
 
-type Bucket = Vec<(MemoKey, KernelCost)>;
-type Shard = HashMap<u64, Bucket, BuildHasherDefault<IdentityHasher>>;
-
 /// A sharded, thread-safe memo table over [`Engine::kernel_cost`].
 ///
 /// Owned by [`crate::LatencyCache`]; not exposed directly — every consumer
 /// reaches it through the cache's incremental assembly path.
 #[derive(Debug)]
 pub(crate) struct KernelMemo {
-    shards: Vec<Mutex<Shard>>,
+    /// Entries, bounded alongside the owning cache by
+    /// [`crate::LatencyCache::set_max_entries_per_shard`] (same
+    /// admit-if-smaller policy, `0` = unbounded).
+    table: ShardedTable<MemoKey, KernelCost>,
     /// Unique kernel shapes evaluated (insert winners only — see the
     /// module docs for why this is schedule-independent).
     evals: AtomicU64,
-    /// Opt-in per-shard entry bound; `0` means unbounded. Set alongside
-    /// the owning cache's bound by
-    /// [`crate::LatencyCache::set_max_entries_per_shard`].
-    max_entries: AtomicUsize,
 }
 
 impl KernelMemo {
     /// An empty memo.
     pub(crate) fn new() -> Self {
         KernelMemo {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            table: ShardedTable::new(),
             evals: AtomicU64::new(0),
-            max_entries: AtomicUsize::new(0),
         }
     }
 
     /// Bounds every shard to at most `cap` entries (`0` = unbounded),
-    /// trimming immediately when shrinking below current occupancy. Same
-    /// admit-if-smaller digest-order policy as the layer cache.
+    /// trimming immediately when shrinking below current occupancy.
     pub(crate) fn set_max_entries_per_shard(&self, cap: usize) {
-        self.max_entries.store(cap, Ordering::Relaxed);
-        if cap == 0 {
-            return;
-        }
-        for shard in &self.shards {
-            // lint: allow(hot-lock) — a different shard each iteration; nothing to hoist
-            let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            while table.values().map(Vec::len).sum::<usize>() > cap {
-                // lint: allow(guard-call) — evict_max only mutates the held shard, takes no lock
-                Self::evict_max(&mut table);
-            }
-        }
-    }
-
-    /// Removes the entry with the largest `(digest, key)` order key.
-    fn evict_max(table: &mut Shard) {
-        let mut max_at: Option<(u64, usize, &MemoKey)> = None;
-        for (&digest, bucket) in table.iter() {
-            for (i, (key, _)) in bucket.iter().enumerate() {
-                let greater = match max_at {
-                    None => true,
-                    Some((d, _, incumbent)) => {
-                        digest.cmp(&d).then_with(|| key.order_cmp(incumbent))
-                            == CmpOrdering::Greater
-                    }
-                };
-                if greater {
-                    max_at = Some((digest, i, key));
-                }
-            }
-        }
-        let target = max_at.map(|(digest, i, _)| (digest, i));
-        if let Some((digest, i)) = target {
-            if let Some(bucket) = table.get_mut(&digest) {
-                if i < bucket.len() {
-                    bucket.remove(i);
-                }
-                if bucket.is_empty() {
-                    table.remove(&digest);
-                }
-            }
-        }
-    }
-
-    fn digest(device: &str, kernel: &KernelDesc) -> u64 {
-        splitmix(fnv1a(device.as_bytes()) ^ kernel.cost_digest())
-    }
-
-    fn shard(&self, digest: u64) -> &Mutex<Shard> {
-        // lint: allow(index) — masked with SHARDS - 1, always in-bounds
-        &self.shards[(digest >> 60) as usize & (SHARDS - 1)]
+        self.table.set_cap(cap);
     }
 
     /// Memoized engine cost of `kernel` on `engine`'s device.
@@ -158,67 +109,20 @@ impl KernelMemo {
     /// deterministic, so whichever insert lands is indistinguishable.
     pub(crate) fn cost(&self, engine: &Engine<'_>, kernel: &KernelDesc) -> KernelCost {
         let device = engine.device().name();
-        let digest = Self::digest(device, kernel);
-        {
-            // Poison recovery mirrors the layer cache: entries are pure
-            // values inserted whole under the lock, so no torn state.
-            let table = self
-                .shard(digest)
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(cost) = table.get(&digest).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(k, _)| k.matches(device, kernel))
-                    .map(|(_, c)| *c)
-            }) {
-                return cost;
-            }
+        let digest = splitmix(fnv1a(device.as_bytes()) ^ kernel.cost_digest());
+        if let Some(cost) = self.table.probe(digest, |k| k.matches(device, kernel)) {
+            return cost;
         }
         let computed = engine.kernel_cost(kernel);
-        let mut table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let already_present = table
-            .get(&digest)
-            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k.matches(device, kernel)));
-        if !already_present {
-            let key = MemoKey {
-                device: device.to_string(),
-                kernel: kernel.clone(),
-            };
-            let cap = self.max_entries.load(Ordering::Relaxed);
-            let full = cap > 0 && table.values().map(Vec::len).sum::<usize>() >= cap;
-            let admit = if full {
-                // Admit-if-smaller (see the layer cache): membership
-                // converges to the cap-smallest keys, arrival-order-free.
-                if Self::shard_max_exceeds(&table, digest, &key) {
-                    Self::evict_max(&mut table);
-                    true
-                } else {
-                    false
-                }
-            } else {
-                true
-            };
-            if admit {
-                table.entry(digest).or_default().push((key, computed));
-                drop(table);
-                self.evals.fetch_add(1, Ordering::Relaxed);
-            }
+        let key = MemoKey {
+            device: device.to_string(),
+            kernel: kernel.clone(),
+        };
+        let admission = self.table.admit(digest, key, computed);
+        if matches!(admission, Admission::Admitted { .. }) {
+            self.evals.fetch_add(1, Ordering::Relaxed);
         }
         computed
-    }
-
-    /// `true` when some entry in `table` orders strictly above the
-    /// candidate `(digest, key)`.
-    fn shard_max_exceeds(table: &Shard, digest: u64, key: &MemoKey) -> bool {
-        table.iter().any(|(&d, bucket)| {
-            bucket
-                .iter()
-                .any(|(k, _)| d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater)
-        })
     }
 
     /// Unique kernel shapes evaluated so far.
@@ -228,24 +132,12 @@ impl KernelMemo {
 
     /// Unique (device, kernel shape) entries currently stored.
     pub(crate) fn entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.table.len()
     }
 
     /// Drops every entry and resets the eval counter.
     pub(crate) fn clear(&self) {
-        for shard in &self.shards {
-            // lint: allow(hot-lock) — one acquisition per shard per reset; sharding splits this lock by design
-            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        }
+        self.table.clear();
         self.evals.store(0, Ordering::Relaxed);
     }
 }

@@ -41,6 +41,7 @@ mod profiler;
 mod runner;
 pub mod stats;
 pub mod sweep;
+mod table;
 mod timeline;
 
 pub use cache::{CacheReloadError, CacheShardStats, CacheStats, LatencyCache};

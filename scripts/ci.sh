@@ -11,6 +11,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests =="
 cargo test --workspace
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "== static analysis (lint + audit + check) =="
 cargo run --release -- lint --deny-warnings

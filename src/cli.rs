@@ -3,7 +3,7 @@
 //! Kept in the library so argument resolution and command execution are
 //! unit-testable; `src/bin/pruneperf.rs` is a thin wrapper.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -67,12 +67,18 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
             return Err(err(format!("flag --{key} needs a value")));
         };
         if flags.insert(key.to_string(), value.clone()).is_some() {
-            return Err(err(format!(
-                "duplicate flag --{key} (each flag may be given once)"
-            )));
+            return Err(duplicate_flag(a));
         }
     }
     Ok(flags)
+}
+
+/// The error for a flag given twice: every parser refuses the repeat
+/// rather than letting the last value silently win.
+fn duplicate_flag(flag: &str) -> CliError {
+    err(format!(
+        "duplicate flag {flag} (each flag may be given once)"
+    ))
 }
 
 fn flag<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
@@ -444,8 +450,12 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
     let mut deny_warnings = false;
     let mut root: Option<String> = None;
     let mut jobs: Option<usize> = None;
+    let mut seen = HashSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !seen.insert(a) {
+            return Err(duplicate_flag(a));
+        }
         match a.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
@@ -488,8 +498,12 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     let mut deny_warnings = false;
     let mut root: Option<String> = None;
     let mut jobs: Option<usize> = None;
+    let mut seen = HashSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !seen.insert(a) {
+            return Err(duplicate_flag(a));
+        }
         match a.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
@@ -531,8 +545,12 @@ fn cmd_audit(args: &[String]) -> Result<String, CliError> {
     let mut json = false;
     let mut deny_warnings = false;
     let mut jobs: Option<usize> = None;
+    let mut seen = HashSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !seen.insert(a) {
+            return Err(duplicate_flag(a));
+        }
         match a.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
@@ -568,8 +586,12 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let mut json = false;
     let mut trace_out: Option<String> = None;
     let mut opts = crate::chaos::ChaosOptions::default();
+    let mut seen = HashSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !seen.insert(a) {
+            return Err(duplicate_flag(a));
+        }
         match a.as_str() {
             "--json" => json = true,
             "--trace-out" => {
@@ -630,8 +652,12 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut jobs: Option<usize> = None;
+    let mut seen = HashSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !seen.insert(a) {
+            return Err(duplicate_flag(a));
+        }
         match a.as_str() {
             "--json" => json = true,
             "--no-wall" => no_wall = true,
@@ -709,8 +735,12 @@ fn cmd_search(args: &[String]) -> Result<String, CliError> {
     let mut device_name = "hikey970".to_string();
     let mut backend_name = "acl-gemm".to_string();
     let mut config = pruneperf_core::search::SearchConfig::default();
+    let mut seen = HashSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !seen.insert(a) {
+            return Err(duplicate_flag(a));
+        }
         let mut value = |key: &str| -> Result<String, CliError> {
             it.next()
                 .cloned()
@@ -1459,30 +1489,61 @@ mod tests {
 
     #[test]
     fn duplicate_flags_are_rejected_not_last_wins() {
-        let e = run(&[
-            "profile",
-            "--device",
-            "tx2",
-            "--device",
-            "nano",
-            "--network",
-            "alexnet",
-            "--layer",
-            "AlexNet.L6",
-        ])
-        .unwrap_err();
-        assert!(e.0.contains("duplicate flag --device"), "{e}");
-        let e = run(&[
-            "prune",
-            "--network",
-            "alexnet",
-            "--budget",
-            "0.8",
-            "--budget",
-            "0.5",
-        ])
-        .unwrap_err();
-        assert!(e.0.contains("duplicate flag --budget"), "{e}");
+        // Every parser, the shared `parse_flags` and the six hand-rolled
+        // ones, refuses a repeat before doing any work.
+        for (args, flag) in [
+            (
+                &[
+                    "profile",
+                    "--device",
+                    "tx2",
+                    "--device",
+                    "nano",
+                    "--network",
+                    "alexnet",
+                ][..],
+                "--device",
+            ),
+            (
+                &[
+                    "prune",
+                    "--network",
+                    "alexnet",
+                    "--budget",
+                    "0.8",
+                    "--budget",
+                    "0.5",
+                ],
+                "--budget",
+            ),
+            (&["lint", "--json", "--json"], "--json"),
+            (
+                &["check", "--deny-warnings", "--root", ".", "--deny-warnings"],
+                "--deny-warnings",
+            ),
+            (&["audit", "--jobs", "1", "--jobs", "2"], "--jobs"),
+            (&["chaos", "--seed", "1", "--seed", "2"], "--seed"),
+            (&["bench", "--no-wall", "--out", "a", "--out", "b"], "--out"),
+            (
+                &[
+                    "search",
+                    "--network",
+                    "alexnet",
+                    "--cache-cap",
+                    "8",
+                    "--cache-cap",
+                    "0",
+                ],
+                "--cache-cap",
+            ),
+        ] {
+            let e = run(args).unwrap_err();
+            assert_eq!(
+                e.0,
+                format!("duplicate flag {flag} (each flag may be given once)"),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]
