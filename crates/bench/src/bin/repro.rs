@@ -40,8 +40,16 @@ fn main() -> ExitCode {
     let mut csv_dir: Option<String> = None;
     let mut jobs_flag: Option<usize> = None;
     let mut ids: Vec<String> = Vec::new();
+    let mut seen: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if matches!(a.as_str(), "--json" | "--csv-dir" | "--jobs") {
+            if seen.contains(&a) {
+                eprintln!("duplicate flag {a} (each flag may be given once)");
+                return ExitCode::from(2);
+            }
+            seen.push(a.clone());
+        }
         if a == "--json" {
             json_path = it.next();
             if json_path.is_none() {

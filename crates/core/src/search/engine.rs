@@ -201,8 +201,8 @@ pub fn search(
                         let gate = mix(&[config.seed, TAG_GATE, generation, j, l as u64]);
                         if gate.is_multiple_of(layers) {
                             let len = space.ladder(l).len() as u64;
-                            *gene = (mix(&[config.seed, TAG_VALUE, generation, j, l as u64])
-                                % len) as usize;
+                            *gene = (mix(&[config.seed, TAG_VALUE, generation, j, l as u64]) % len)
+                                as usize;
                         }
                     }
                     if child == *parent {

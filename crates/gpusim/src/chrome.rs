@@ -157,8 +157,11 @@ pub fn render_trace(events: &[ChromeEvent]) -> String {
     out
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Renders `s` as a quoted JSON string literal: quotes, backslashes,
+/// `\n`, `\r` and `\t` get their short escapes and every other control
+/// character becomes `\u00XX`. Every hand-rendered JSON document in the
+/// workspace escapes its strings through this one function.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -280,6 +283,15 @@ mod tests {
         assert!(a.contains("\"dur\": 2.25"));
         let parsed: serde::Value = serde_json::from_str(&a).expect("valid JSON");
         assert!(parsed.get("traceEvents").is_some());
+    }
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\r\t"), "\"\\r\\t\"");
+        assert_eq!(json_string("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
+        assert_eq!(json_string("μs ✓"), "\"μs ✓\"");
+        assert_eq!(json_string(""), "\"\"");
     }
 
     #[test]

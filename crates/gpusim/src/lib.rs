@@ -55,7 +55,7 @@ mod kernel;
 mod metrics;
 mod trace;
 
-pub use chrome::{render_trace, ChromeEvent};
+pub use chrome::{json_string, render_trace, ChromeEvent};
 pub use device::{Device, DeviceBuilder};
 pub use engine::{ChainCost, ChainScratch, Engine, KernelCost};
 pub use job::{Job, JobChain};

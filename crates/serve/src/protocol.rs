@@ -12,6 +12,8 @@ use std::fmt::Write as _;
 use serde::Value;
 use serde_json::from_str;
 
+use pruneperf_gpusim::json_string;
+
 /// What the client asks the planner to minimize against the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestObjective {
@@ -292,27 +294,6 @@ impl PlanResponse {
     }
 }
 
-/// Renders `s` as a JSON string literal with the required escapes.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,11 +387,5 @@ mod tests {
             "{\"status\":\"error\",\"id\":0,\"error\":\"unknown device 'x'\"}"
         );
         assert_eq!(error.http_status(), 400);
-    }
-
-    #[test]
-    fn json_strings_escape_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use pruneperf_backends::{AclGemm, ConvBackend};
 use pruneperf_core::Staircase;
-use pruneperf_gpusim::Device;
+use pruneperf_gpusim::{json_string, Device};
 use pruneperf_models::{resnet50, ConvLayerSpec};
 use pruneperf_profiler::faults::{FaultPlan, FaultyBackend, RetryPolicy};
 use pruneperf_profiler::{sweep, LatencyCache, LayerProfiler};
@@ -124,14 +124,14 @@ impl ChaosReport {
         out.push_str("  \"scenarios\": [\n");
         for (i, s) in self.scenarios.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"lines\": [",
-                json_escape(s.name)
+                "    {{\"name\": {}, \"lines\": [",
+                json_string(s.name)
             ));
             for (j, line) in s.lines.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\"", json_escape(line)));
+                out.push_str(&json_string(line));
             }
             out.push_str("]}");
             if i + 1 < self.scenarios.len() {
@@ -142,20 +142,6 @@ impl ChaosReport {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Silences the process panic hook for the guard's lifetime; the
@@ -494,7 +480,7 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"deterministic\": true"));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let parsed: serde::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert!(parsed.get("scenarios").is_some());
     }
 }

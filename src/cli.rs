@@ -3,18 +3,22 @@
 //! Kept in the library so argument resolution and command execution are
 //! unit-testable; `src/bin/pruneperf.rs` is a thin wrapper.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
-use pruneperf_backends::ConvBackend;
 use pruneperf_core::accuracy::AccuracyModel;
+use pruneperf_core::search::{SearchAlgo, SearchConfig, SearchOutcome};
 use pruneperf_core::{report, sensitivity, PerfAwarePruner, Staircase};
-use pruneperf_gpusim::{render_trace, ChromeEvent, Device, Engine};
-use pruneperf_models::{alexnet, mobilenet_v1, resnet50, vgg16, Network};
+use pruneperf_gpusim::{render_trace, ChromeEvent, Engine};
+use pruneperf_models::{alexnet, mobilenet_v1, resnet50, vgg16, ConvLayerSpec, Network};
 use pruneperf_profiler::{
     sweep, LatencyCache, LayerProfiler, NetworkRunner, Stats, ThermalGovernor,
 };
+use pruneperf_serve::catalog::{backend_by_name, device_by_name, named_devices, network_by_name};
 use pruneperf_serve::replay::{replay_trace_with, ReplayOptions};
 use pruneperf_serve::{run_loadgen, LoadgenOptions, PlanService, Server, ServerOptions};
 
@@ -30,59 +34,124 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Lets `?` pass on the serving catalog's name-resolution messages.
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError(msg)
+    }
+}
+
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Resolves a device short name. Delegates to the serving catalog so
-/// the daemon and the one-shot commands agree on names and messages.
-pub fn device_by_name(name: &str) -> Result<Device, CliError> {
-    pruneperf_serve::catalog::device_by_name(name).map_err(err)
-}
+/// A command's body: runs on its parsed flags, returns the text to print.
+type Handler = fn(&Flags) -> Result<String, CliError>;
 
-/// Resolves a backend short name.
-pub fn backend_by_name(name: &str) -> Result<Box<dyn ConvBackend>, CliError> {
-    pruneperf_serve::catalog::backend_by_name(name).map_err(err)
-}
-
-/// Resolves a network short name.
-pub fn network_by_name(name: &str) -> Result<Network, CliError> {
-    pruneperf_serve::catalog::network_by_name(name).map_err(err)
-}
-
-/// Parses `--key value` pairs after the subcommand.
+/// Every command: its name, the flags it takes and its body.
 ///
-/// Duplicate flags are an error, not a silent last-wins: `profile
-/// --device tx2 --device nano` used to quietly profile nano.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(err(format!(
-                "unexpected argument '{a}' (flags are --key value)"
-            )));
-        };
-        let Some(value) = it.next() else {
-            return Err(err(format!("flag --{key} needs a value")));
-        };
-        if flags.insert(key.to_string(), value.clone()).is_some() {
-            return Err(duplicate_flag(a));
+/// The flags are space-separated names; a trailing `=` marks one that
+/// takes a value, the rest are switches. Every command also takes
+/// `--jobs N`, so no row lists it. USAGE documents the same flags by
+/// hand, and a test holds the two together.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    ("devices", "", cmd_devices),
+    ("networks", "", cmd_networks),
+    ("profile", "network= layer= backend= device= format= trace-out= stats=", cmd_profile),
+    ("prune", "network= backend= device= budget= objective=", cmd_prune),
+    ("run", "network= backend= device= trace-out= stats=", cmd_run),
+    ("gantt", "network= layer= backend= device= channels=", cmd_gantt),
+    ("sensitivity", "network= backend= device=", cmd_sensitivity),
+    ("report", "network= backend= device= budget=", cmd_report),
+    ("lint", "json deny-warnings root=", cmd_lint),
+    ("audit", "json deny-warnings", cmd_audit),
+    ("check", "json deny-warnings root=", cmd_check),
+    ("chaos", "seed= faults= json trace-out=", cmd_chaos),
+    ("search", "network= backend= device= algo= beam-width= generations= seed= json out= \
+                cache-cap= persist=", cmd_search),
+    ("bench", "json no-wall out= check=", cmd_bench),
+    ("serve", "addr= workers= queue= cache-cap= max-requests= replay= service-ms= stats= \
+               trace-out=", cmd_serve),
+    ("loadgen", "seed= requests= workers= queue= service-ms= cache-cap=", cmd_loadgen),
+];
+
+/// The flags one command line gave, each at most once; a switch maps to
+/// an empty value.
+struct Flags(HashMap<&'static str, String>);
+
+impl Flags {
+    /// Parses `args` against a command's flag list (a [`COMMANDS`] row),
+    /// refusing an unknown flag, a value flag without its value and a
+    /// flag given twice: a repeat never silently wins.
+    fn parse(command: &str, takes: &'static str, args: &[String]) -> Result<Flags, CliError> {
+        let specs = || takes.split_whitespace().chain(["jobs="]);
+        let mut flags = Flags(HashMap::new());
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let spec = arg
+                .strip_prefix("--")
+                .and_then(|key| specs().find(|spec| spec.trim_end_matches('=') == key));
+            let Some(spec) = spec else {
+                let accepted: Vec<String> = specs()
+                    .map(|spec| match spec.strip_suffix('=') {
+                        Some(key) => format!("--{key} <{}>", key.to_uppercase()),
+                        None => format!("--{spec}"),
+                    })
+                    .collect();
+                return Err(err(format!(
+                    "unexpected argument '{arg}' ({command} takes {})",
+                    accepted.join(", ")
+                )));
+            };
+            let key = spec.trim_end_matches('=');
+            if flags.has(key) {
+                return Err(err(format!(
+                    "duplicate flag {arg} (each flag may be given once)"
+                )));
+            }
+            let value = if spec.ends_with('=') {
+                it.next()
+                    .ok_or_else(|| err(format!("flag {arg} needs a value")))?
+                    .clone()
+            } else {
+                String::new()
+            };
+            flags.0.insert(key, value);
         }
+        Ok(flags)
     }
-    Ok(flags)
-}
 
-/// The error for a flag given twice: every parser refuses the repeat
-/// rather than letting the last value silently win.
-fn duplicate_flag(flag: &str) -> CliError {
-    err(format!(
-        "duplicate flag {flag} (each flag may be given once)"
-    ))
-}
+    /// Whether the flag was given.
+    fn has(&self, key: &str) -> bool {
+        self.0.contains_key(key)
+    }
 
-fn flag<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
-    flags.get(key).map(String::as_str).unwrap_or(default)
+    /// The flag's value, if it was given.
+    fn get(&self, key: &str) -> Option<&str> {
+        self.0.get(key).map(String::as_str)
+    }
+
+    /// The flag's value, or `default` when it was not given.
+    fn str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
+        self.get(key).unwrap_or(default)
+    }
+
+    /// The flag's value parsed as a `T`, if it was given; a value that
+    /// does not parse is the error "--key must be `expected`".
+    fn opt_num<T: FromStr>(&self, key: &str, expected: &str) -> Result<Option<T>, CliError> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| err(format!("--{key} must be {expected}")))
+            })
+            .transpose()
+    }
+
+    /// [`Flags::opt_num`], or `default` when the flag was not given.
+    fn num<T: FromStr>(&self, key: &str, default: T, expected: &str) -> Result<T, CliError> {
+        Ok(self.opt_num(key, expected)?.unwrap_or(default))
+    }
 }
 
 /// Writes a side-channel artifact (trace, stats snapshot, bench report).
@@ -177,63 +246,23 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     let Some(command) = args.first() else {
         return Err(err(USAGE));
     };
-    if command == "lint" {
-        // `lint` takes boolean flags, which `parse_flags` (strict
-        // `--key value` pairs) cannot express.
-        return cmd_lint(&args[1..]);
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
     }
-    if command == "audit" {
-        // Boolean flags, like `lint`.
-        return cmd_audit(&args[1..]);
-    }
-    if command == "check" {
-        // Boolean flags, like `lint`.
-        return cmd_check(&args[1..]);
-    }
-    if command == "chaos" {
-        // Boolean flags, like `lint`; also manages the worker count
-        // itself (it runs at two counts and compares).
-        return cmd_chaos(&args[1..]);
-    }
-    if command == "bench" {
-        // Boolean flags, like `lint`.
-        return cmd_bench(&args[1..]);
-    }
-    if command == "search" {
-        // Boolean flags, like `bench`.
-        return cmd_search(&args[1..]);
-    }
-    let mut flags = parse_flags(&args[1..])?;
-    let jobs = match flags.remove("jobs") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| err("--jobs must be a non-negative integer"))?,
-        ),
-        None => None,
+    let Some(&(name, takes, handler)) = COMMANDS.iter().find(|row| row.0 == command) else {
+        return Err(err(format!("unknown command '{command}'\n{USAGE}")));
     };
-    sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
-    match command.as_str() {
-        "devices" => Ok(cmd_devices()),
-        "networks" => Ok(cmd_networks()),
-        "profile" => cmd_profile(&flags),
-        "prune" => cmd_prune(&flags),
-        "run" => cmd_run(&flags),
-        "gantt" => cmd_gantt(&flags),
-        "sensitivity" => cmd_sensitivity(&flags),
-        "report" => cmd_report(&flags),
-        "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(err(format!("unknown command '{other}'\n{USAGE}"))),
+    let flags = Flags::parse(name, takes, &args[1..])?;
+    let jobs = flags.opt_num("jobs", "a non-negative integer")?;
+    // `chaos` runs at its own `--jobs` and then at a second count to
+    // compare, so it leaves the process-wide sweep count alone.
+    if name != "chaos" {
+        sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
     }
+    handler(&flags)
 }
 
-/// The CLI short names, paired with their devices.
-fn named_devices() -> [(&'static str, Device); 4] {
-    pruneperf_serve::catalog::named_devices()
-}
-
-fn cmd_devices() -> String {
+fn cmd_devices(_: &Flags) -> Result<String, CliError> {
     let mut out = String::new();
     for (short, d) in named_devices() {
         out.push_str(&format!(
@@ -244,10 +273,10 @@ fn cmd_devices() -> String {
             d.gpu_heap_mib()
         ));
     }
-    out
+    Ok(out)
 }
 
-fn cmd_networks() -> String {
+fn cmd_networks(_: &Flags) -> Result<String, CliError> {
     let mut out = String::new();
     for net in [resnet50(), vgg16(), alexnet(), mobilenet_v1()] {
         out.push_str(&format!(
@@ -259,46 +288,42 @@ fn cmd_networks() -> String {
             out.push_str(&format!("  {layer}\n"));
         }
     }
-    out
+    Ok(out)
 }
 
-fn layer_from_flags(
-    flags: &HashMap<String, String>,
-) -> Result<pruneperf_models::ConvLayerSpec, CliError> {
-    let network = network_by_name(flag(flags, "network", ""))?;
-    let label = flags
-        .get("layer")
-        .ok_or_else(|| err("--layer is required"))?;
+fn layer_from_flags(f: &Flags) -> Result<ConvLayerSpec, CliError> {
+    let network = network_by_name(f.str("network", ""))?;
+    let label = f.get("layer").ok_or_else(|| err("--layer is required"))?;
     network
         .layer(label)
         .cloned()
         .ok_or_else(|| err(format!("network has no layer '{label}'")))
 }
 
-fn cmd_profile(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let device = device_by_name(flag(flags, "device", "hikey970"))?;
-    let backend = backend_by_name(flag(flags, "backend", "acl-gemm"))?;
-    let layer = layer_from_flags(flags)?;
+fn cmd_profile(f: &Flags) -> Result<String, CliError> {
+    let device = device_by_name(f.str("device", "hikey970"))?;
+    let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
+    let layer = layer_from_flags(f)?;
     let cache = Arc::new(LatencyCache::new());
     let stats = Arc::new(Stats::new());
     let mut profiler = LayerProfiler::new(&device);
-    if flags.contains_key("stats") {
+    if f.has("stats") {
         // An isolated registry, so the snapshot covers exactly this sweep.
         profiler = profiler.with_cache(cache.clone()).with_stats(stats.clone());
     }
     let curve = profiler.latency_curve(backend.as_ref(), &layer, 1..=layer.c_out());
-    if let Some(path) = flags.get("trace-out") {
+    if let Some(path) = f.get("trace-out") {
         let events = profiler.sweep_events(backend.as_ref(), &layer, 1..=layer.c_out());
         try_write_file(path, &render_trace(&events), "Chrome trace")?;
     }
-    if let Some(path) = flags.get("stats") {
+    if let Some(path) = f.get("stats") {
         try_write_file(
             path,
             &stats.snapshot_with_cache(&cache).render_json(),
             "stats snapshot",
         )?;
     }
-    match flag(flags, "format", "text") {
+    match f.str("format", "text") {
         "csv" => Ok(curve.to_csv()),
         "text" => {
             let staircase = Staircase::detect(&curve);
@@ -318,20 +343,18 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<String, CliError> {
     }
 }
 
-fn cmd_prune(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let device = device_by_name(flag(flags, "device", "hikey970"))?;
-    let backend = backend_by_name(flag(flags, "backend", "acl-gemm"))?;
-    let network = network_by_name(flag(flags, "network", ""))?;
-    let budget: f64 = flag(flags, "budget", "0.8")
-        .parse()
-        .map_err(|_| err("--budget must be a number in (0, 1]"))?;
+fn cmd_prune(f: &Flags) -> Result<String, CliError> {
+    let device = device_by_name(f.str("device", "hikey970"))?;
+    let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
+    let network = network_by_name(f.str("network", ""))?;
+    let budget: f64 = f.num("budget", 0.8, "a number in (0, 1]")?;
     if !(budget > 0.0 && budget <= 1.0) {
         return Err(err("--budget must be a number in (0, 1]"));
     }
     let profiler = LayerProfiler::noiseless(&device);
     let accuracy = AccuracyModel::for_network(&network);
     let pruner = PerfAwarePruner::new(&profiler, &accuracy);
-    let plan = match flag(flags, "objective", "latency") {
+    let plan = match f.str("objective", "latency") {
         "latency" => pruner.prune_to_latency(backend.as_ref(), &network, budget),
         "energy" => pruner.prune_to_energy(backend.as_ref(), &network, budget),
         other => {
@@ -358,23 +381,23 @@ fn cmd_prune(flags: &HashMap<String, String>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let device = device_by_name(flag(flags, "device", "hikey970"))?;
-    let backend = backend_by_name(flag(flags, "backend", "acl-gemm"))?;
-    let network = network_by_name(flag(flags, "network", ""))?;
+fn cmd_run(f: &Flags) -> Result<String, CliError> {
+    let device = device_by_name(f.str("device", "hikey970"))?;
+    let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
+    let network = network_by_name(f.str("network", ""))?;
     let cache = Arc::new(LatencyCache::new());
     let stats = Arc::new(Stats::new());
     let mut runner = NetworkRunner::new(&device);
-    if flags.contains_key("stats") {
+    if f.has("stats") {
         // An isolated registry, so the snapshot covers exactly this run.
         runner = runner.with_cache(cache.clone()).with_stats(stats.clone());
     }
     let report = runner.run(backend.as_ref(), &network);
-    if let Some(path) = flags.get("trace-out") {
+    if let Some(path) = f.get("trace-out") {
         let trace = runner.trace_run(backend.as_ref(), &network);
         try_write_file(path, &trace.to_chrome_json(), "Chrome trace")?;
     }
-    if let Some(path) = flags.get("stats") {
+    if let Some(path) = f.get("stats") {
         try_write_file(
             path,
             &stats.snapshot_with_cache(&cache).render_json(),
@@ -399,14 +422,11 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_gantt(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let device = device_by_name(flag(flags, "device", "hikey970"))?;
-    let backend = backend_by_name(flag(flags, "backend", "acl-gemm"))?;
-    let mut layer = layer_from_flags(flags)?;
-    if let Some(c) = flags.get("channels") {
-        let c: usize = c
-            .parse()
-            .map_err(|_| err("--channels must be a positive integer"))?;
+fn cmd_gantt(f: &Flags) -> Result<String, CliError> {
+    let device = device_by_name(f.str("device", "hikey970"))?;
+    let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
+    let mut layer = layer_from_flags(f)?;
+    if let Some(c) = f.opt_num("channels", "a positive integer")? {
         layer = layer
             .with_c_out(c)
             .map_err(|e| err(format!("invalid channel count: {e}")))?;
@@ -420,10 +440,10 @@ fn cmd_gantt(flags: &HashMap<String, String>) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_sensitivity(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let device = device_by_name(flag(flags, "device", "hikey970"))?;
-    let backend = backend_by_name(flag(flags, "backend", "acl-gemm"))?;
-    let network = network_by_name(flag(flags, "network", ""))?;
+fn cmd_sensitivity(f: &Flags) -> Result<String, CliError> {
+    let device = device_by_name(f.str("device", "hikey970"))?;
+    let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
+    let network = network_by_name(f.str("network", ""))?;
     let profiler = LayerProfiler::noiseless(&device);
     let accuracy = AccuracyModel::for_network(&network);
     let analysis = sensitivity::sensitivity_analysis(
@@ -445,196 +465,56 @@ fn cmd_sensitivity(flags: &HashMap<String, String>) -> Result<String, CliError> 
     Ok(out)
 }
 
-fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut root: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut seen = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !seen.insert(a) {
-            return Err(duplicate_flag(a));
-        }
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--root" => {
-                let v = it.next().ok_or_else(|| err("flag --root needs a value"))?;
-                root = Some(v.clone());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| err("flag --jobs needs a value"))?;
-                jobs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err("--jobs must be a non-negative integer"))?,
-                );
-            }
-            other => {
-                return Err(err(format!(
-                    "unexpected argument '{other}' (lint takes --json, --deny-warnings, --root PATH, --jobs N)"
-                )))
-            }
-        }
+/// Renders an analyzer report per `--json`. Any error, or any warning
+/// under `--deny-warnings`, turns the rendering into the failure.
+fn analyzer_verdict(f: &Flags, report: &pruneperf_analysis::Report) -> Result<String, CliError> {
+    let rendered = if f.has("json") {
+        report.render_json()
+    } else {
+        report.render_human()
+    };
+    if report.errors() > 0 || (f.has("deny-warnings") && report.warnings() > 0) {
+        Err(CliError(rendered))
+    } else {
+        Ok(rendered)
     }
-    sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
-    let root = root.unwrap_or_else(|| env!("CARGO_MANIFEST_DIR").to_string());
-    let report = pruneperf_analysis::run_full(std::path::Path::new(&root), sweep::sweep_jobs())
+}
+
+fn cmd_lint(f: &Flags) -> Result<String, CliError> {
+    let root = f.str("root", env!("CARGO_MANIFEST_DIR"));
+    let report = pruneperf_analysis::run_full(Path::new(root), sweep::sweep_jobs())
         .map_err(|e| err(format!("lint: cannot read sources under '{root}': {e}")))?;
-    let rendered = if json {
-        report.render_json()
-    } else {
-        report.render_human()
-    };
-    if report.errors() > 0 || (deny_warnings && report.warnings() > 0) {
-        Err(CliError(rendered))
-    } else {
-        Ok(rendered)
-    }
+    analyzer_verdict(f, &report)
 }
 
-fn cmd_check(args: &[String]) -> Result<String, CliError> {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut root: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut seen = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !seen.insert(a) {
-            return Err(duplicate_flag(a));
-        }
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--root" => {
-                let v = it.next().ok_or_else(|| err("flag --root needs a value"))?;
-                root = Some(v.clone());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| err("flag --jobs needs a value"))?;
-                jobs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err("--jobs must be a non-negative integer"))?,
-                );
-            }
-            other => {
-                return Err(err(format!(
-                    "unexpected argument '{other}' (check takes --json, --deny-warnings, --root PATH, --jobs N)"
-                )))
-            }
-        }
-    }
-    sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
-    let root = root.unwrap_or_else(|| env!("CARGO_MANIFEST_DIR").to_string());
-    let report = pruneperf_analysis::run_check(std::path::Path::new(&root), sweep::sweep_jobs())
+fn cmd_check(f: &Flags) -> Result<String, CliError> {
+    let root = f.str("root", env!("CARGO_MANIFEST_DIR"));
+    let report = pruneperf_analysis::run_check(Path::new(root), sweep::sweep_jobs())
         .map_err(|e| err(format!("check: cannot read sources under '{root}': {e}")))?;
-    let rendered = if json {
-        report.render_json()
-    } else {
-        report.render_human()
-    };
-    if report.errors() > 0 || (deny_warnings && report.warnings() > 0) {
-        Err(CliError(rendered))
-    } else {
-        Ok(rendered)
-    }
+    analyzer_verdict(f, &report)
 }
 
-fn cmd_audit(args: &[String]) -> Result<String, CliError> {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut jobs: Option<usize> = None;
-    let mut seen = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !seen.insert(a) {
-            return Err(duplicate_flag(a));
-        }
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| err("flag --jobs needs a value"))?;
-                jobs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err("--jobs must be a non-negative integer"))?,
-                );
-            }
-            other => {
-                return Err(err(format!(
-                    "unexpected argument '{other}' (audit takes --json, --deny-warnings, --jobs N)"
-                )))
-            }
-        }
-    }
-    sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
-    let report = pruneperf_analysis::run_audit(sweep::sweep_jobs());
-    let rendered = if json {
-        report.render_json()
-    } else {
-        report.render_human()
-    };
-    if report.errors() > 0 || (deny_warnings && report.warnings() > 0) {
-        Err(CliError(rendered))
-    } else {
-        Ok(rendered)
-    }
+fn cmd_audit(f: &Flags) -> Result<String, CliError> {
+    analyzer_verdict(f, &pruneperf_analysis::run_audit(sweep::sweep_jobs()))
 }
 
-fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
-    let mut json = false;
-    let mut trace_out: Option<String> = None;
-    let mut opts = crate::chaos::ChaosOptions::default();
-    let mut seen = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !seen.insert(a) {
-            return Err(duplicate_flag(a));
-        }
-        match a.as_str() {
-            "--json" => json = true,
-            "--trace-out" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("flag --trace-out needs a value"))?;
-                trace_out = Some(v.clone());
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("flag --seed needs a value"))?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| err("--seed must be a non-negative integer"))?;
-            }
-            "--faults" => {
-                let v = it.next().ok_or_else(|| err("flag --faults needs a value"))?;
-                let rate = v
-                    .parse::<f64>()
-                    .map_err(|_| err("--faults must be a rate in [0, 1]"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(err("--faults must be a rate in [0, 1]"));
-                }
-                opts.fault_rate = rate;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| err("flag --jobs needs a value"))?;
-                opts.jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| err("--jobs must be a non-negative integer"))?
-                    .max(1);
-            }
-            other => {
-                return Err(err(format!(
-                    "unexpected argument '{other}' (chaos takes --seed S, --faults RATE, --jobs N, --json, --trace-out PATH)"
-                )))
-            }
-        }
+fn cmd_chaos(f: &Flags) -> Result<String, CliError> {
+    let defaults = crate::chaos::ChaosOptions::default();
+    let opts = crate::chaos::ChaosOptions {
+        seed: f.num("seed", defaults.seed, "a non-negative integer")?,
+        fault_rate: f.num("faults", defaults.fault_rate, "a rate in [0, 1]")?,
+        jobs: f
+            .num("jobs", defaults.jobs, "a non-negative integer")?
+            .max(1),
+    };
+    if !(0.0..=1.0).contains(&opts.fault_rate) {
+        return Err(err("--faults must be a rate in [0, 1]"));
     }
     let report = crate::chaos::run_chaos(&opts);
-    if let Some(path) = &trace_out {
+    if let Some(path) = f.get("trace-out") {
         try_write_file(path, &crate::chaos::trace_json(), "Chrome trace")?;
     }
-    let rendered = if json {
+    let rendered = if f.has("json") {
         report.render_json()
     } else {
         report.render_human()
@@ -646,46 +526,10 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let mut json = false;
-    let mut no_wall = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut seen = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !seen.insert(a) {
-            return Err(duplicate_flag(a));
-        }
-        match a.as_str() {
-            "--json" => json = true,
-            "--no-wall" => no_wall = true,
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("flag --out needs a value"))?;
-                out = Some(v.clone());
-            }
-            "--check" => {
-                let v = it.next().ok_or_else(|| err("flag --check needs a value"))?;
-                check = Some(v.clone());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| err("flag --jobs needs a value"))?;
-                jobs = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err("--jobs must be a non-negative integer"))?,
-                );
-            }
-            other => {
-                return Err(err(format!(
-                    "unexpected argument '{other}' (bench takes --json, --no-wall, --out PATH, --check BASELINE, --jobs N)"
-                )))
-            }
-        }
-    }
-    sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
-    let suite = pruneperf_bench::run_suite(!no_wall);
-    if let Some(path) = &out {
+fn cmd_bench(f: &Flags) -> Result<String, CliError> {
+    let json = f.has("json");
+    let suite = pruneperf_bench::run_suite(!f.has("no-wall"));
+    if let Some(path) = f.get("out") {
         try_write_file(path, &suite.render_json(), "benchmark report")?;
     }
     let mut rendered = if json {
@@ -693,7 +537,7 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     } else {
         suite.render_human()
     };
-    if let Some(path) = &check {
+    if let Some(path) = f.get("check") {
         let baseline = std::fs::read_to_string(path)
             .map_err(|e| err(format!("cannot read baseline '{path}': {e}")))?;
         match suite.check_against(&baseline) {
@@ -725,81 +569,31 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 /// CI can compare runs byte-for-byte across `--jobs` counts and across a
 /// persist/reload resume. Cache effectiveness (which *does* differ between
 /// a cold and a resumed run) renders in the human output only.
-fn cmd_search(args: &[String]) -> Result<String, CliError> {
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut persist: Option<String> = None;
-    let mut cache_cap: usize = 0;
-    let mut jobs: Option<usize> = None;
-    let mut network_name = String::new();
-    let mut device_name = "hikey970".to_string();
-    let mut backend_name = "acl-gemm".to_string();
-    let mut config = pruneperf_core::search::SearchConfig::default();
-    let mut seen = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !seen.insert(a) {
-            return Err(duplicate_flag(a));
-        }
-        let mut value = |key: &str| -> Result<String, CliError> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| err(format!("flag --{key} needs a value")))
+fn cmd_search(f: &Flags) -> Result<String, CliError> {
+    let mut config = SearchConfig::default();
+    if let Some(algo) = f.get("algo") {
+        config.algo = match algo {
+            "beam" => SearchAlgo::Beam,
+            "evolve" => SearchAlgo::Evolve,
+            other => return Err(err(format!("unknown algo '{other}' (beam | evolve)"))),
         };
-        match a.as_str() {
-            "--json" => json = true,
-            "--out" => out = Some(value("out")?),
-            "--persist" => persist = Some(value("persist")?),
-            "--network" => network_name = value("network")?,
-            "--device" => device_name = value("device")?,
-            "--backend" => backend_name = value("backend")?,
-            "--algo" => {
-                config.algo = match value("algo")?.as_str() {
-                    "beam" => pruneperf_core::search::SearchAlgo::Beam,
-                    "evolve" => pruneperf_core::search::SearchAlgo::Evolve,
-                    other => return Err(err(format!("unknown algo '{other}' (beam | evolve)"))),
-                };
-            }
-            "--beam-width" => {
-                config.beam_width = value("beam-width")?
-                    .parse()
-                    .map_err(|_| err("--beam-width must be a positive integer"))?;
-            }
-            "--generations" => {
-                config.generations = value("generations")?
-                    .parse()
-                    .map_err(|_| err("--generations must be a positive integer"))?;
-            }
-            "--seed" => {
-                config.seed = value("seed")?
-                    .parse()
-                    .map_err(|_| err("--seed must be a non-negative integer"))?;
-            }
-            "--cache-cap" => {
-                cache_cap = value("cache-cap")?
-                    .parse()
-                    .map_err(|_| err("--cache-cap must be a non-negative integer"))?;
-            }
-            "--jobs" => {
-                jobs = Some(
-                    value("jobs")?
-                        .parse()
-                        .map_err(|_| err("--jobs must be a non-negative integer"))?,
-                );
-            }
-            other => {
-                return Err(err(format!(
-                    "unexpected argument '{other}' (search takes --network N, --backend B, \
-                     --device D, --algo beam|evolve, --beam-width N, --generations N, --seed S, \
-                     --json, --out PATH, --cache-cap N, --persist PATH, --jobs N)"
-                )))
-            }
-        }
     }
-    sweep::set_sweep_jobs(sweep::resolve_jobs(jobs));
-    let device = device_by_name(&device_name)?;
-    let backend = backend_by_name(&backend_name)?;
-    let network = network_by_name(&network_name)?;
+    config.beam_width = f
+        .opt_num("beam-width", "a positive integer")?
+        .map_or(config.beam_width, NonZeroUsize::get);
+    config.generations = f
+        .opt_num("generations", "a positive integer")?
+        .map_or(config.generations, NonZeroUsize::get);
+    config.seed = f.num("seed", config.seed, "a non-negative integer")?;
+    let cache_cap = f.num("cache-cap", 0usize, "a non-negative integer")?;
+    let (network_name, device_name, backend_name) = (
+        f.str("network", ""),
+        f.str("device", "hikey970"),
+        f.str("backend", "acl-gemm"),
+    );
+    let device = device_by_name(device_name)?;
+    let backend = backend_by_name(backend_name)?;
+    let network = network_by_name(network_name)?;
 
     // A local cache (never the process-wide one): its stats and persisted
     // bytes are then a pure function of this search.
@@ -807,8 +601,9 @@ fn cmd_search(args: &[String]) -> Result<String, CliError> {
     if cache_cap > 0 {
         cache.set_max_entries_per_shard(cache_cap);
     }
+    let persist = f.get("persist");
     let mut restored = 0usize;
-    if let Some(path) = &persist {
+    if let Some(path) = persist {
         match std::fs::read_to_string(path) {
             Ok(snapshot) => {
                 restored = cache
@@ -841,22 +636,22 @@ fn cmd_search(args: &[String]) -> Result<String, CliError> {
         }
     }
 
-    if let Some(path) = &persist {
+    if let Some(path) = persist {
         try_write_file(path, &cache.persist(), "latency-cache snapshot")?;
     }
 
     let rendered_json = render_search_json(
-        &network_name,
-        &device_name,
-        &backend_name,
+        network_name,
+        device_name,
+        backend_name,
         &config,
         &network,
         &outcome,
     );
-    if let Some(path) = &out {
+    if let Some(path) = f.get("out") {
         try_write_file(path, &rendered_json, "search report")?;
     }
-    if json {
+    if f.has("json") {
         return Ok(rendered_json);
     }
 
@@ -896,7 +691,7 @@ fn cmd_search(args: &[String]) -> Result<String, CliError> {
     }
     let stats = cache.stats();
     out.push_str(&format!("{stats}\n"));
-    if let Some(path) = &persist {
+    if let Some(path) = persist {
         out.push_str(&format!(
             "cache: {restored} entries reloaded from '{path}', {} persisted back\n",
             stats.entries
@@ -911,9 +706,9 @@ fn render_search_json(
     network_name: &str,
     device_name: &str,
     backend_name: &str,
-    config: &pruneperf_core::search::SearchConfig,
+    config: &SearchConfig,
     network: &Network,
-    outcome: &pruneperf_core::search::SearchOutcome,
+    outcome: &SearchOutcome,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"version\": 1,\n");
@@ -960,13 +755,11 @@ fn render_search_json(
     out
 }
 
-fn cmd_report(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let device = device_by_name(flag(flags, "device", "hikey970"))?;
-    let backend = backend_by_name(flag(flags, "backend", "acl-gemm"))?;
-    let network = network_by_name(flag(flags, "network", ""))?;
-    let budget: f64 = flag(flags, "budget", "0.8")
-        .parse()
-        .map_err(|_| err("--budget must be a number in (0, 1]"))?;
+fn cmd_report(f: &Flags) -> Result<String, CliError> {
+    let device = device_by_name(f.str("device", "hikey970"))?;
+    let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
+    let network = network_by_name(f.str("network", ""))?;
+    let budget = f.num("budget", 0.8, "a number in (0, 1]")?;
     let profiler = LayerProfiler::noiseless(&device);
     let accuracy = AccuracyModel::for_network(&network);
     Ok(report::campaign_report(
@@ -979,21 +772,6 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<String, CliError> {
             baseline_distance: 7,
         },
     ))
-}
-
-/// Parses an optional numeric flag, defaulting when absent.
-fn numeric_flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-    expected: &str,
-) -> Result<T, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("--{key} must be {expected}"))),
-    }
 }
 
 /// Renders the replay admission timeline as a Chrome trace: one lane
@@ -1036,16 +814,20 @@ fn serve_timeline_trace(report: &pruneperf_serve::replay::ReplayReport, workers:
     render_trace(&events)
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    let workers = numeric_flag(flags, "workers", 4usize, "a positive integer")?;
-    let queue = numeric_flag(flags, "queue", 4usize, "a positive integer")?;
-    let service_ms = numeric_flag(flags, "service-ms", 5.0f64, "a number of milliseconds")?;
-    let cache_cap = numeric_flag(flags, "cache-cap", 4096usize, "a non-negative integer")?;
+fn cmd_serve(f: &Flags) -> Result<String, CliError> {
+    let workers = f
+        .opt_num("workers", "a positive integer")?
+        .map_or(4, NonZeroUsize::get);
+    let queue = f
+        .opt_num("queue", "a positive integer")?
+        .map_or(4, NonZeroUsize::get);
+    let service_ms: f64 = f.num("service-ms", 5.0, "a number of milliseconds")?;
+    let cache_cap = f.num("cache-cap", 4096, "a non-negative integer")?;
     if !(service_ms.is_finite() && service_ms > 0.0) {
         return Err(err("--service-ms must be a positive number"));
     }
 
-    if let Some(path) = flags.get("replay") {
+    if let Some(path) = f.get("replay") {
         let trace = std::fs::read_to_string(path)
             .map_err(|e| err(format!("cannot read trace '{path}': {e}")))?;
         let service = PlanService::new(cache_cap);
@@ -1056,29 +838,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
             cache_cap,
         };
         let report = replay_trace_with(&trace, &opts, &service);
-        if let Some(p) = flags.get("stats") {
+        if let Some(p) = f.get("stats") {
             try_write_file(p, &service.stats_json(), "stats snapshot")?;
         }
-        if let Some(p) = flags.get("trace-out") {
+        if let Some(p) = f.get("trace-out") {
             try_write_file(p, &serve_timeline_trace(&report, workers), "Chrome trace")?;
         }
         return Ok(report.output);
     }
 
-    let addr = flag(flags, "addr", "127.0.0.1:7878");
-    let max_requests = match flags.get("max-requests") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| err("--max-requests must be a non-negative integer"))?,
-        ),
-    };
+    let addr = f.str("addr", "127.0.0.1:7878");
     let server = Server::bind(ServerOptions {
         addr: addr.to_string(),
         workers,
         queue_capacity: queue,
         cache_cap,
-        max_requests,
+        max_requests: f.opt_num("max-requests", "a non-negative integer")?,
     })
     .map_err(|e| err(format!("cannot bind '{addr}': {e}")))?;
     let bound = server
@@ -1087,7 +862,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let summary = server
         .run()
         .map_err(|e| err(format!("serve failed: {e}")))?;
-    if let Some(p) = flags.get("stats") {
+    if let Some(p) = f.get("stats") {
         try_write_file(p, &server.service().stats_json(), "stats snapshot")?;
     }
     Ok(format!(
@@ -1096,35 +871,23 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<String, CliError> {
+fn cmd_loadgen(f: &Flags) -> Result<String, CliError> {
     let defaults = LoadgenOptions::default();
     let opts = LoadgenOptions {
-        seed: numeric_flag(flags, "seed", defaults.seed, "a non-negative integer")?,
-        requests: numeric_flag(
-            flags,
-            "requests",
-            defaults.requests,
-            "a non-negative integer",
-        )?,
-        workers: numeric_flag(flags, "workers", defaults.workers, "a positive integer")?,
-        queue_capacity: numeric_flag(
-            flags,
-            "queue",
-            defaults.queue_capacity,
-            "a positive integer",
-        )?,
-        service_ms: numeric_flag(
-            flags,
+        seed: f.num("seed", defaults.seed, "a non-negative integer")?,
+        requests: f.num("requests", defaults.requests, "a non-negative integer")?,
+        workers: f
+            .opt_num("workers", "a positive integer")?
+            .map_or(defaults.workers, NonZeroUsize::get),
+        queue_capacity: f
+            .opt_num("queue", "a positive integer")?
+            .map_or(defaults.queue_capacity, NonZeroUsize::get),
+        service_ms: f.num(
             "service-ms",
             defaults.service_ms,
             "a number of milliseconds",
         )?,
-        cache_cap: numeric_flag(
-            flags,
-            "cache-cap",
-            defaults.cache_cap,
-            "a non-negative integer",
-        )?,
+        cache_cap: f.num("cache-cap", defaults.cache_cap, "a non-negative integer")?,
     };
     if !(opts.service_ms.is_finite() && opts.service_ms > 0.0) {
         return Err(err("--service-ms must be a positive number"));
@@ -1134,6 +897,8 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn run(args: &[&str]) -> Result<String, CliError> {
@@ -1465,85 +1230,122 @@ mod tests {
 
     #[test]
     fn flag_errors_are_user_facing() {
-        assert!(run(&["profile", "--network", "resnet50"])
-            .unwrap_err()
-            .0
-            .contains("--layer is required"));
-        assert!(run(&["prune", "--network", "nope"])
-            .unwrap_err()
-            .0
-            .contains("unknown network"));
-        assert!(run(&["profile", "positional"])
-            .unwrap_err()
-            .0
-            .contains("unexpected argument"));
-        assert!(run(&["profile", "--layer"])
-            .unwrap_err()
-            .0
-            .contains("needs a value"));
-        assert!(run(&["prune", "--network", "alexnet", "--budget", "2.0"])
-            .unwrap_err()
-            .0
-            .contains("--budget"));
-    }
-
-    #[test]
-    fn duplicate_flags_are_rejected_not_last_wins() {
-        // Every parser, the shared `parse_flags` and the six hand-rolled
-        // ones, refuses a repeat before doing any work.
-        for (args, flag) in [
+        let missing = "/nonexistent/trace.jsonl";
+        for (args, needle) in [
             (
-                &[
-                    "profile",
-                    "--device",
-                    "tx2",
-                    "--device",
-                    "nano",
-                    "--network",
-                    "alexnet",
-                ][..],
-                "--device",
+                &["profile", "--network", "resnet50"][..],
+                "--layer is required",
             ),
+            (&["prune", "--network", "nope"], "unknown network"),
+            (&["profile", "positional"], "unexpected argument"),
+            (&["profile", "--layer"], "needs a value"),
             (
-                &[
-                    "prune",
-                    "--network",
-                    "alexnet",
-                    "--budget",
-                    "0.8",
-                    "--budget",
-                    "0.5",
-                ],
+                &["prune", "--network", "alexnet", "--budget", "2.0"],
                 "--budget",
             ),
-            (&["lint", "--json", "--json"], "--json"),
+            // Unknown flags are refused, not ignored, by every command.
             (
-                &["check", "--deny-warnings", "--root", ".", "--deny-warnings"],
-                "--deny-warnings",
+                &["run", "--network", "alexnet", "--bogus", "1"],
+                "unexpected argument '--bogus' (run takes --network <NETWORK>,",
             ),
-            (&["audit", "--jobs", "1", "--jobs", "2"], "--jobs"),
-            (&["chaos", "--seed", "1", "--seed", "2"], "--seed"),
-            (&["bench", "--no-wall", "--out", "a", "--out", "b"], "--out"),
             (
-                &[
-                    "search",
-                    "--network",
-                    "alexnet",
-                    "--cache-cap",
-                    "8",
-                    "--cache-cap",
-                    "0",
-                ],
-                "--cache-cap",
+                &["loadgen", "--worker", "8"],
+                "unexpected argument '--worker'",
+            ),
+            // A count that must be positive refuses 0 instead of flooring it.
+            (
+                &["serve", "--replay", missing, "--workers", "0"],
+                "--workers must be a positive integer",
+            ),
+            (
+                &["serve", "--replay", missing, "--queue", "0"],
+                "--queue must be a positive integer",
+            ),
+            (
+                &["loadgen", "--workers", "0"],
+                "--workers must be a positive integer",
+            ),
+            (
+                &["loadgen", "--queue", "0"],
+                "--queue must be a positive integer",
+            ),
+            (
+                &["search", "--network", "alexnet", "--beam-width", "0"],
+                "--beam-width must be a positive integer",
+            ),
+            (
+                &["search", "--network", "alexnet", "--generations", "0"],
+                "--generations must be a positive integer",
             ),
         ] {
             let e = run(args).unwrap_err();
-            assert_eq!(
-                e.0,
-                format!("duplicate flag {flag} (each flag may be given once)"),
-                "{args:?}"
-            );
+            assert!(e.0.contains(needle), "{args:?}: {e}");
         }
+    }
+
+    #[test]
+    fn every_command_refuses_unknown_repeated_and_valueless_flags() {
+        // The parser refuses each of these before the command does any work.
+        for &(name, takes, _) in COMMANDS {
+            let unknown = run(&[name, "--no-such-flag"]).unwrap_err().0;
+            let prefix = format!("unexpected argument '--no-such-flag' ({name} takes ");
+            assert!(unknown.starts_with(&prefix), "{unknown}");
+            for spec in takes.split_whitespace().chain(["jobs="]) {
+                let flag = format!("--{}", spec.trim_end_matches('='));
+                assert!(unknown.contains(&flag), "{unknown} omits {flag}");
+                let once = if spec.ends_with('=') {
+                    vec![flag.as_str(), "1"]
+                } else {
+                    vec![flag.as_str()]
+                };
+                let twice = [&[name][..], &once, &once].concat();
+                assert_eq!(
+                    run(&twice).unwrap_err().0,
+                    format!("duplicate flag {flag} (each flag may be given once)"),
+                    "{twice:?}"
+                );
+                if spec.ends_with('=') {
+                    assert_eq!(
+                        run(&[name, &flag]).unwrap_err().0,
+                        format!("flag {flag} needs a value")
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_each_commands_flags() {
+        let listing = USAGE
+            .split_once("commands:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .map(|(listing, _)| listing)
+            .unwrap();
+        // An entry starts with its command name at column 2; its further
+        // lines are indented deeper.
+        let mut entries: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in listing.lines() {
+            if let Some(rest) = line.strip_prefix("  ").filter(|r| !r.starts_with(' ')) {
+                entries.push((rest.split_whitespace().next().unwrap(), BTreeSet::new()));
+            }
+            let (_, flags) = entries.last_mut().unwrap();
+            for word in line.split("--").skip(1) {
+                let end = word
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(word.len());
+                if &word[..end] != "jobs" {
+                    flags.insert(&word[..end]);
+                }
+            }
+        }
+        let rows: Vec<(&str, BTreeSet<&str>)> = COMMANDS
+            .iter()
+            .map(|&(name, takes, _)| {
+                let flags = takes.split_whitespace().map(|f| f.trim_end_matches('='));
+                (name, flags.collect())
+            })
+            .collect();
+        assert_eq!(entries, rows);
     }
 
     #[test]
