@@ -110,6 +110,17 @@ impl AccuracyModel {
         })
     }
 
+    /// Accuracy lost when `layer` keeps `kept` of its original channels:
+    /// the per-layer term [`AccuracyModel::accuracy_with`] sums. Returns
+    /// `None` for unknown layers or invalid counts.
+    pub fn loss_term(&self, label: &str, kept: usize) -> Option<f64> {
+        let mass = self.pruned_mass(label, kept)?;
+        let weight = self.layer_weight.get(label)?;
+        // Convex loss: the least-important channels cost little, the
+        // last ones a lot (mass is the fraction of importance removed).
+        Some(self.sensitivity * weight * mass.powf(1.6))
+    }
+
     /// Estimated accuracy when each layer keeps the given channel count.
     ///
     /// Layers absent from the map are treated as unpruned.
@@ -126,13 +137,9 @@ impl AccuracyModel {
         entries.sort();
         let mut loss = 0.0;
         for (label, kept) in entries {
-            let mass = self
-                .pruned_mass(label, kept)
+            loss += self
+                .loss_term(label, kept)
                 .unwrap_or_else(|| panic!("invalid pruning config for {label}: keep {kept}"));
-            let weight = self.layer_weight[label];
-            // Convex loss: the least-important channels cost little, the
-            // last ones a lot (mass is the fraction of importance removed).
-            loss += self.sensitivity * weight * mass.powf(1.6);
         }
         (self.base_accuracy - loss).max(0.0)
     }

@@ -10,16 +10,32 @@
 //! inserted == archived + dominated + duplicates
 //! ```
 //!
-//! The archived front is kept in a canonical order (latency ascending,
-//! then energy ascending, then accuracy descending, then payload
-//! ascending) that does not depend on insertion order, and duplicate
-//! objective points deterministically keep the smallest payload — so the
-//! archive's final state is invariant under any permutation of the same
-//! insertions. (How a rejected point is *classified* — dominated vs
-//! duplicate — can depend on arrival order; the conservation sum and the
-//! final front never do.)
+//! The archived front has a canonical order (latency ascending, then
+//! energy ascending, then accuracy descending, each by `f64::total_cmp`)
+//! that does not depend on insertion order, and duplicate objective points
+//! deterministically keep the smallest payload — so the archive's final
+//! state is invariant under any permutation of the same insertions. (How
+//! a rejected point is *classified* — dominated vs duplicate — can depend
+//! on arrival order; the conservation sum and the final front never do.)
+//!
+//! The front is *stored* in descending canonical order, so the ever
+//! faster points a search streams in land at the end of the `Vec`, and an
+//! offer touches only the entries that can matter:
+//!
+//! - a duplicate is found by binary search;
+//! - a dominator must be no slower than the newcomer, so it is sought in
+//!   the suffix of entries whose latency is `<=` the newcomer's;
+//! - a victim must be no faster, so it is sought in the prefix whose
+//!   latency is `>=` the newcomer's, skipping every [`BLOCK`]-entry block
+//!   whose cached minimum accuracy is above the newcomer's.
+//!
+//! The scan bounds compare latencies as floats, like
+//! [`ParetoPoint::dominates`], so `-0.0` and `+0.0` fall on both sides.
 
 use std::cmp::Ordering;
+
+/// Entries per block of the archive's cached accuracy minimums.
+const BLOCK: usize = 32;
 
 /// A point in objective space: minimize latency and energy, maximize
 /// accuracy.
@@ -46,14 +62,8 @@ impl ParetoPoint {
         no_worse && strictly_better
     }
 
-    /// Exact objective equality (bit-for-bit under `total_cmp`).
-    fn same(&self, other: &ParetoPoint) -> bool {
-        self.latency_ms.total_cmp(&other.latency_ms) == Ordering::Equal
-            && self.energy_mj.total_cmp(&other.energy_mj) == Ordering::Equal
-            && self.accuracy.total_cmp(&other.accuracy) == Ordering::Equal
-    }
-
     /// Canonical archive order: latency asc, energy asc, accuracy desc.
+    /// `Equal` exactly when the two triples are bit-for-bit the same.
     fn canonical_cmp(&self, other: &ParetoPoint) -> Ordering {
         self.latency_ms
             .total_cmp(&other.latency_ms)
@@ -69,7 +79,11 @@ impl ParetoPoint {
 /// payload wins), which is what makes the archive permutation-invariant.
 #[derive(Debug, Clone, Default)]
 pub struct ParetoArchive<T> {
+    /// The front in descending canonical order.
     entries: Vec<(ParetoPoint, T)>,
+    /// `block_min_accuracy[b]` is the lowest accuracy in
+    /// `entries[b * BLOCK..(b + 1) * BLOCK]`.
+    block_min_accuracy: Vec<f64>,
     inserted: u64,
     dominated: u64,
     duplicates: u64,
@@ -80,6 +94,7 @@ impl<T: Ord> ParetoArchive<T> {
     pub fn new() -> Self {
         ParetoArchive {
             entries: Vec::new(),
+            block_min_accuracy: Vec::new(),
             inserted: 0,
             dominated: 0,
             duplicates: 0,
@@ -108,7 +123,10 @@ impl<T: Ord> ParetoArchive<T> {
         self.inserted += 1;
 
         // Exact duplicate: keep the smaller payload, count the loser.
-        if let Some(slot) = self.entries.iter().position(|(p, _)| p.same(&point)) {
+        if let Ok(slot) = self
+            .entries
+            .binary_search_by(|(p, _)| point.canonical_cmp(p))
+        {
             self.duplicates += 1;
             if payload < self.entries[slot].1 {
                 self.entries[slot].1 = payload;
@@ -116,30 +134,74 @@ impl<T: Ord> ParetoArchive<T> {
             return true;
         }
 
-        if self.entries.iter().any(|(p, _)| p.dominates(&point)) {
+        let no_slower = self
+            .entries
+            .partition_point(|(p, _)| p.latency_ms > point.latency_ms);
+        if self.entries[no_slower..]
+            .iter()
+            .any(|(p, _)| p.dominates(&point))
+        {
             self.dominated += 1;
             return false;
         }
 
-        // The newcomer is on the front: retire everything it dominates.
-        let before = self.entries.len();
-        self.entries.retain(|(p, _)| !point.dominates(p));
-        self.dominated += (before - self.entries.len()) as u64;
+        // The newcomer is on the front: retire everything it dominates,
+        // compacting from the first victim on.
+        let first_victim = self.first_victim(&point);
+        if let Some(first) = first_victim {
+            let mut kept = first;
+            for i in first..self.entries.len() {
+                if !point.dominates(&self.entries[i].0) {
+                    self.entries.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            self.dominated += (self.entries.len() - kept) as u64;
+            self.entries.truncate(kept);
+        }
 
         let at = self
             .entries
-            .partition_point(|(p, t)| match p.canonical_cmp(&point) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => *t < payload,
-            });
+            .partition_point(|(p, _)| p.canonical_cmp(&point) == Ordering::Greater);
         self.entries.insert(at, (point, payload));
+        self.refresh_blocks(first_victim.map_or(at, |first| first.min(at)));
         true
     }
 
-    /// The archived front in canonical order.
-    pub fn entries(&self) -> &[(ParetoPoint, T)] {
-        &self.entries
+    /// Index of the first entry `point` dominates, if any.
+    fn first_victim(&self, point: &ParetoPoint) -> Option<usize> {
+        let no_faster = self
+            .entries
+            .partition_point(|(p, _)| p.latency_ms >= point.latency_ms);
+        (0..no_faster)
+            .step_by(BLOCK)
+            .filter(|&start| self.block_min_accuracy[start / BLOCK] <= point.accuracy)
+            .find_map(|start| {
+                (start..no_faster.min(start + BLOCK)).find(|&i| point.dominates(&self.entries[i].0))
+            })
+    }
+
+    /// Recomputes the accuracy minimum of every block from the one
+    /// holding `entries[from]` to the end.
+    fn refresh_blocks(&mut self, from: usize) {
+        let first_block = from / BLOCK;
+        self.block_min_accuracy.truncate(first_block);
+        let minimums = self.entries[first_block * BLOCK..]
+            .chunks(BLOCK)
+            .map(|block| {
+                block
+                    .iter()
+                    .map(|(p, _)| p.accuracy)
+                    .fold(f64::INFINITY, f64::min)
+            });
+        self.block_min_accuracy.extend(minimums);
+    }
+
+    /// The archived front in ascending canonical order.
+    pub fn entries(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = &(ParetoPoint, T)> + ExactSizeIterator {
+        self.entries.iter().rev()
     }
 
     /// Number of points currently archived.
@@ -214,8 +276,8 @@ mod tests {
         let mut b = ParetoArchive::new();
         b.offer(pt(10.0, 5.0, 0.9), 3u32);
         b.offer(pt(10.0, 5.0, 0.9), 7);
-        assert_eq!(a.entries(), b.entries());
-        assert_eq!(a.entries()[0].1, 3);
+        assert!(a.entries().eq(b.entries()));
+        assert_eq!(a.entries().next().unwrap().1, 3);
         assert_eq!(a.duplicates(), 1);
     }
 
@@ -225,7 +287,7 @@ mod tests {
         ar.offer(pt(10.0, 9.0, 0.80), 0u32);
         ar.offer(pt(5.0, 2.0, 0.70), 1);
         ar.offer(pt(5.0, 1.0, 0.60), 2);
-        let pts: Vec<_> = ar.entries().iter().map(|(p, _)| *p).collect();
+        let pts: Vec<_> = ar.entries().map(|(p, _)| *p).collect();
         assert_eq!(
             pts,
             vec![pt(5.0, 1.0, 0.60), pt(5.0, 2.0, 0.70), pt(10.0, 9.0, 0.80)]

@@ -3,18 +3,19 @@
 //! Both solvers are pure functions of `(profiler inputs, seed, config)`:
 //! every tie-break, parent pick and mutation is a [`super::splitmix64`]
 //! hash of `(seed, structural position)`, so there is no RNG state to
-//! advance, no clock, and no dependence on thread interleaving. Candidate
-//! scoring fans out through [`super::evaluate_genomes`], which preserves
-//! input order at any worker count — so the whole search, including the
-//! final archive, is byte-identical at `--jobs 1` and `--jobs 8`.
+//! advance, no clock, and no dependence on thread interleaving. Candidates
+//! are scored inline from the space's slot table ([`SearchSpace::score`]),
+//! so the worker count reaches only the staircase sweeps that build the
+//! space — and the whole search, including the final archive, is
+//! byte-identical at `--jobs 1` and `--jobs 8`.
 
 use std::collections::{HashMap, HashSet};
 
 use pruneperf_backends::ConvBackend;
 use pruneperf_models::Network;
-use pruneperf_profiler::{sweep, LayerProfiler};
+use pruneperf_profiler::LayerProfiler;
 
-use super::{evaluate_genomes, genome_hash, mix, ParetoArchive, ParetoPoint, SearchSpace};
+use super::{genome_hash, mix, ParetoArchive, ParetoPoint, SearchSpace};
 use crate::accuracy::AccuracyModel;
 use crate::PruningPlan;
 
@@ -95,13 +96,15 @@ pub struct SearchOutcome {
     pub duplicates: u64,
     /// Beam rounds or evolve generations actually executed.
     pub rounds: u64,
-    /// Size of the full joint candidate space.
+    /// Size of the full joint candidate space, modulo 2^64 (see
+    /// [`SearchSpace::total_configs`]).
     pub total_configs: usize,
 }
 
 /// Runs the configured search and returns the non-dominated front.
 ///
-/// Worker count comes from [`sweep::sweep_jobs`] (set by the CLI from
+/// The staircase sweeps that build the space fan out over
+/// [`pruneperf_profiler::sweep::sweep_jobs`] workers (set by the CLI from
 /// `--jobs`); the result is independent of it.
 pub fn search(
     profiler: &LayerProfiler,
@@ -112,10 +115,6 @@ pub fn search(
 ) -> SearchOutcome {
     let space = SearchSpace::build_for(profiler, accuracy, backend, network);
     let width = config.beam_width.max(1);
-    let jobs = sweep::sweep_jobs();
-    let evaluate = |genomes: &[Vec<usize>]| {
-        evaluate_genomes(profiler, accuracy, backend, network, &space, genomes, jobs)
-    };
 
     let mut archive: ParetoArchive<Vec<usize>> = ParetoArchive::new();
     let mut evaluated = 0u64;
@@ -124,9 +123,8 @@ pub fn search(
     match config.algo {
         SearchAlgo::Beam => {
             let start = space.full_genome();
-            let points = evaluate(std::slice::from_ref(&start));
             evaluated += 1;
-            archive.offer(points[0], start.clone());
+            archive.offer(space.score(&start), start.clone());
             let mut visited: HashSet<Vec<usize>> = HashSet::new();
             visited.insert(start.clone());
             let mut beam = vec![start];
@@ -149,13 +147,11 @@ pub fn search(
                     break;
                 }
                 rounds += 1;
-                let points = evaluate(&frontier);
                 evaluated += frontier.len() as u64;
                 let mut scored: Vec<(bool, u64, Vec<usize>)> = frontier
                     .into_iter()
-                    .zip(points)
-                    .map(|(genome, point)| {
-                        let on_front = archive.offer(point, genome.clone());
+                    .map(|genome| {
+                        let on_front = archive.offer(space.score(&genome), genome.clone());
                         (on_front, genome_hash(config.seed, &genome), genome)
                     })
                     .collect();
@@ -181,11 +177,11 @@ pub fn search(
                     population.push(genome);
                 }
             }
-            let points = evaluate(&population);
             evaluated += population.len() as u64;
-            for (genome, point) in population.iter().zip(&points) {
-                seen.insert(genome.clone(), *point);
-                archive.offer(*point, genome.clone());
+            for genome in &population {
+                let point = space.score(genome);
+                seen.insert(genome.clone(), point);
+                archive.offer(point, genome.clone());
             }
             for generation in 0..config.generations as u64 {
                 rounds += 1;
@@ -228,13 +224,11 @@ pub fn search(
                     }
                     unique
                 };
-                if !fresh.is_empty() {
-                    let points = evaluate(&fresh);
-                    evaluated += fresh.len() as u64;
-                    for (genome, point) in fresh.iter().zip(&points) {
-                        seen.insert(genome.clone(), *point);
-                        archive.offer(*point, genome.clone());
-                    }
+                evaluated += fresh.len() as u64;
+                for genome in fresh {
+                    let point = space.score(&genome);
+                    seen.insert(genome.clone(), point);
+                    archive.offer(point, genome);
                 }
                 // Truncation selection on the (μ+λ) pool by non-domination
                 // rank, hashed tie-break, then genome order.

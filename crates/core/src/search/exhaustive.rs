@@ -47,11 +47,7 @@ pub fn exhaustive_prune_to_latency(
     max_configs: usize,
 ) -> Option<ExactPlan> {
     let space = SearchSpace::build_for(profiler, accuracy, backend, network);
-    let total_configs = space.total_configs();
-    assert!(
-        total_configs <= max_configs,
-        "{total_configs} configurations exceed the exhaustive-search cap {max_configs}"
-    );
+    space.configs_within(max_configs, "exhaustive-search");
 
     let unpruned_ms: f64 = network
         .layers()
@@ -62,21 +58,13 @@ pub fn exhaustive_prune_to_latency(
 
     let mut best: Option<ExactPlan> = None;
     for genome in space.enumerate_within(max_configs) {
-        let latency: f64 = genome
-            .iter()
-            .enumerate()
-            .map(|(i, &slot)| space.ladder(i)[slot].1)
-            .sum();
-        if latency <= budget {
-            let kept = space.kept_map(&genome);
-            let acc = accuracy.accuracy_with(&kept);
-            if best.as_ref().is_none_or(|b| acc > b.accuracy) {
-                best = Some(ExactPlan {
-                    kept,
-                    latency_ms: latency,
-                    accuracy: acc,
-                });
-            }
+        let point = space.score(&genome);
+        if point.latency_ms <= budget && best.as_ref().is_none_or(|b| point.accuracy > b.accuracy) {
+            best = Some(ExactPlan {
+                kept: space.kept_map(&genome),
+                latency_ms: point.latency_ms,
+                accuracy: point.accuracy,
+            });
         }
     }
     best
@@ -151,5 +139,16 @@ mod tests {
         let net = testkit::tiny_net();
         let (p, a) = testkit::noiseless_setup(&net, &d);
         let _ = exhaustive_prune_to_latency(&p, &a, &AclGemm::new(), &net, 0.8, 2);
+    }
+
+    /// 2^64 configurations wrap to 0 in a `usize` product; the guard
+    /// checks the product, so the space is refused instead of walked.
+    #[test]
+    #[should_panic(expected = "more than 2^64 configurations exceed the exhaustive-search cap")]
+    fn config_cap_refuses_a_space_past_u64_max() {
+        let d = Device::mali_g72_hikey970();
+        let net = testkit::wide_net();
+        let (p, a) = testkit::noiseless_setup(&net, &d);
+        let _ = exhaustive_prune_to_latency(&p, &a, &AclGemm::new(), &net, 0.8, 1_000_000);
     }
 }

@@ -3,7 +3,7 @@
 //! The §V loop ([`crate::PerfAwarePruner`]) trades one layer at a time
 //! against a single budget. This module searches the *joint* space of
 //! per-layer kept-channel configurations instead, with three solvers that
-//! share one candidate space and one evaluator:
+//! share one candidate space and one scorer:
 //!
 //! - [`exhaustive_prune_to_latency`] — exact enumeration for small
 //!   networks (ground truth for the others);
@@ -13,12 +13,14 @@
 //!   search with pure-hash mutation.
 //!
 //! All of them walk [`SearchSpace`] ladders (each layer's staircase
-//! optimal points plus the unpruned count) and score candidates through
-//! the shared [`LayerProfiler`] cache, so evaluating a plan costs cache
-//! lookups, not engine runs. Every random-looking choice — tie-breaking,
-//! parent selection, mutation — is a splitmix64 hash of `(seed, position)`
-//! with no RNG state and no clocks, so results are a pure function of
-//! `(inputs, seed)` at any `--jobs` count.
+//! optimal points plus the unpruned count). Building the space measures
+//! every ladder slot once through the shared [`LayerProfiler`] cache and
+//! tabulates its latency, energy and accuracy-loss term, so scoring a
+//! genome ([`SearchSpace::score`]) is three table sums: no cache reads,
+//! no engine runs and no fan-out. Every random-looking choice —
+//! tie-breaking, parent selection, mutation — is a splitmix64 hash of
+//! `(seed, position)` with no RNG state and no clocks, so results are a
+//! pure function of `(inputs, seed)` at any `--jobs` count.
 
 mod archive;
 mod engine;
@@ -32,10 +34,18 @@ use std::collections::HashMap;
 
 use pruneperf_backends::ConvBackend;
 use pruneperf_models::{ConvLayerSpec, Network};
-use pruneperf_profiler::{sweep, LayerProfiler};
+use pruneperf_profiler::LayerProfiler;
 
 use crate::accuracy::AccuracyModel;
 use crate::PerfAwarePruner;
+
+/// One ladder slot's share of each objective.
+#[derive(Debug, Clone, Copy)]
+struct SlotScore {
+    latency_ms: f64,
+    energy_mj: f64,
+    loss: f64,
+}
 
 /// The joint candidate space: one ladder of `(kept_channels, latency_ms)`
 /// pairs per layer, in catalog (network) order.
@@ -47,10 +57,22 @@ use crate::PerfAwarePruner;
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     layers: Vec<(String, Vec<(usize, f64)>)>,
+    /// Per layer and ladder slot: the measured median, the energy and
+    /// the accuracy-loss term.
+    scores: Vec<Vec<SlotScore>>,
+    /// Layer indices in label order, the order
+    /// [`AccuracyModel::accuracy_with`] sums the loss in.
+    label_order: Vec<usize>,
+    base_accuracy: f64,
 }
 
 impl SearchSpace {
-    /// Builds the ladders for `network` under `backend`.
+    /// Builds the ladders for `network` under `backend`, and the table
+    /// [`SearchSpace::score`] reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `accuracy` does not cover every layer of `network`.
     pub fn build_for(
         profiler: &LayerProfiler,
         accuracy: &AccuracyModel,
@@ -59,15 +81,44 @@ impl SearchSpace {
     ) -> SearchSpace {
         let pruner = PerfAwarePruner::new(profiler, accuracy);
         let mut layers: Vec<(String, Vec<(usize, f64)>)> = Vec::new();
+        let mut scores: Vec<Vec<SlotScore>> = Vec::new();
         for layer in network.layers() {
             let mut cands = pruner.candidates_for(backend, layer);
             let full_ms = profiler.measure(backend, layer).median_ms();
             if !cands.iter().any(|&(c, _)| c == layer.c_out()) {
                 cands.push((layer.c_out(), full_ms));
             }
+            // Every key below was measured by the staircase sweep above,
+            // so the table costs cache hits only.
+            let specs: Vec<ConvLayerSpec> = cands
+                .iter()
+                // lint: allow(unwrap) — ladder entries come from the layer's own staircase
+                .map(|&(kept, _)| layer.with_c_out(kept).expect("ladder count validated"))
+                .collect();
+            let slots = profiler
+                .measure_batch(backend, &specs)
+                .iter()
+                .zip(&specs)
+                .map(|(m, spec)| SlotScore {
+                    latency_ms: m.median_ms(),
+                    energy_mj: profiler.energy_mj(backend, spec),
+                    loss: accuracy
+                        .loss_term(layer.label(), spec.c_out())
+                        // lint: allow(unwrap) — documented # Panics contract
+                        .expect("accuracy model covers the network"),
+                })
+                .collect();
             layers.push((layer.label().to_string(), cands));
+            scores.push(slots);
         }
-        SearchSpace { layers }
+        let mut label_order: Vec<usize> = (0..layers.len()).collect();
+        label_order.sort_by(|&a, &b| layers[a].0.cmp(&layers[b].0));
+        SearchSpace {
+            layers,
+            scores,
+            label_order,
+            base_accuracy: accuracy.base_accuracy(),
+        }
     }
 
     /// Number of layers (genome length).
@@ -85,9 +136,34 @@ impl SearchSpace {
         &self.layers[i].0
     }
 
-    /// Size of the full cross product.
+    /// Size of the full cross product, modulo 2^64. ResNet-50's ladders
+    /// multiply past `u64::MAX`, and the search report pins the wrapped
+    /// value; the enumeration caps check the exact product instead.
     pub fn total_configs(&self) -> usize {
-        self.layers.iter().map(|(_, c)| c.len()).product()
+        self.layers
+            .iter()
+            .fold(1, |total: usize, (_, c)| total.wrapping_mul(c.len()))
+    }
+
+    /// The exact size of the cross product, refusing it unless it is at
+    /// most `cap`. The product is checked, so a space past `usize::MAX`
+    /// is refused rather than wrapped under the cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space exceeds `cap`; `what` names the cap.
+    fn configs_within(&self, cap: usize, what: &str) -> usize {
+        let total = self
+            .layers
+            .iter()
+            .try_fold(1, |total: usize, (_, c)| total.checked_mul(c.len()));
+        match total {
+            Some(total) if total <= cap => total,
+            // lint: allow(panic) — documented # Panics contract
+            Some(total) => panic!("{total} configurations exceed the {what} cap {cap}"),
+            // lint: allow(panic) — documented # Panics contract
+            None => panic!("more than 2^64 configurations exceed the {what} cap {cap}"),
+        }
     }
 
     /// The genome selecting every layer's unpruned point.
@@ -109,6 +185,31 @@ impl SearchSpace {
             .collect()
     }
 
+    /// Scores a genome from the slot table. Latency and energy are summed
+    /// in network order, as `measure_batch` over the plan's layers would
+    /// be, and the accuracy loss in label order, as
+    /// [`AccuracyModel::accuracy_with`] sums it, so every objective is
+    /// bitwise equal to re-measuring the plan (DESIGN §15.6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the genome length or any index is out of range.
+    pub fn score(&self, genome: &[usize]) -> ParetoPoint {
+        assert_eq!(genome.len(), self.scores.len(), "genome length mismatch");
+        let slot = |i: usize| &self.scores[i][genome[i]];
+        let latency_ms: f64 = (0..genome.len()).map(|i| slot(i).latency_ms).sum();
+        let energy_mj: f64 = (0..genome.len()).map(|i| slot(i).energy_mj).sum();
+        let loss = self
+            .label_order
+            .iter()
+            .fold(0.0, |loss, &i| loss + slot(i).loss);
+        ParetoPoint {
+            latency_ms,
+            energy_mj,
+            accuracy: (self.base_accuracy - loss).max(0.0),
+        }
+    }
+
     /// Every genome in the cross product, odometer order.
     ///
     /// # Panics
@@ -116,11 +217,7 @@ impl SearchSpace {
     /// Panics if the space exceeds `max_configs` — enumeration is for
     /// small differential-test fixtures only.
     pub fn enumerate_within(&self, max_configs: usize) -> Vec<Vec<usize>> {
-        let total = self.total_configs();
-        assert!(
-            total <= max_configs,
-            "{total} configurations exceed the enumeration cap {max_configs}"
-        );
+        let total = self.configs_within(max_configs, "enumeration");
         let mut out = Vec::with_capacity(total);
         let mut indices = vec![0usize; self.layers.len()];
         loop {
@@ -139,47 +236,6 @@ impl SearchSpace {
             }
         }
     }
-}
-
-/// Scores `genomes` in deterministic order: per-layer latencies come from
-/// the cache's batched costing path (so a warm cache answers without any
-/// engine run), energies from the same cache entries, accuracy from the
-/// surrogate. The fan-out preserves input order, so the result is
-/// byte-identical at any worker count `jobs`.
-pub fn evaluate_genomes(
-    profiler: &LayerProfiler,
-    accuracy: &AccuracyModel,
-    backend: &dyn ConvBackend,
-    network: &Network,
-    space: &SearchSpace,
-    genomes: &[Vec<usize>],
-    jobs: usize,
-) -> Vec<ParetoPoint> {
-    // lint: allow(hot-root) — the per-genome closure costs through `measure_batch`, already audited as a hot root; the wrapper adds no serving loop of its own
-    sweep::ordered_parallel_map(genomes, jobs, |genome| {
-        let specs: Vec<ConvLayerSpec> = network
-            .layers()
-            .iter()
-            .zip(genome.iter().enumerate())
-            .map(|(layer, (i, &slot))| {
-                let kept = space.ladder(i)[slot].0;
-                // lint: allow(unwrap) — ladder entries come from the layer's own staircase
-                layer.with_c_out(kept).expect("ladder count validated")
-            })
-            .collect();
-        let latency_ms: f64 = profiler
-            .measure_batch(backend, &specs)
-            .iter()
-            .map(|m| m.median_ms())
-            .sum();
-        let energy_mj: f64 = specs.iter().map(|s| profiler.energy_mj(backend, s)).sum();
-        let acc = accuracy.accuracy_with(&space.kept_map(genome));
-        ParetoPoint {
-            latency_ms,
-            energy_mj,
-            accuracy: acc,
-        }
-    })
 }
 
 /// The splitmix64 finalizer: a bijective avalanche mix. All search
@@ -226,22 +282,72 @@ mod tests {
         assert_eq!(all.last().unwrap(), &space.full_genome());
     }
 
+    /// `score` reads tables; re-measuring every layer of the plan through
+    /// the profiler and re-deriving the accuracy from its kept map must
+    /// give the same bits, noisy medians included. Summing the ladders'
+    /// staircase latencies must give the same bits too.
     #[test]
-    fn evaluation_is_schedule_independent() {
-        let net = testkit::tiny_net();
-        let d = Device::jetson_nano();
-        let (p, a) = testkit::noiseless_setup(&net, &d);
+    fn score_matches_a_remeasurement_bitwise() {
         let backend = AclGemm::new();
-        let space = SearchSpace::build_for(&p, &a, &backend, &net);
-        let genomes = space.enumerate_within(100_000);
-        let one = evaluate_genomes(&p, &a, &backend, &net, &space, &genomes, 1);
-        let eight = evaluate_genomes(&p, &a, &backend, &net, &space, &genomes, 8);
-        assert_eq!(one.len(), eight.len());
-        for (x, y) in one.iter().zip(&eight) {
-            assert_eq!(x.latency_ms.to_bits(), y.latency_ms.to_bits());
-            assert_eq!(x.energy_mj.to_bits(), y.energy_mj.to_bits());
-            assert_eq!(x.accuracy.to_bits(), y.accuracy.to_bits());
+        let nets = [
+            testkit::tiny_net(),
+            testkit::micro_net(),
+            testkit::ragged_net(),
+        ];
+        for (d, net) in Device::all_paper_devices()
+            .iter()
+            .flat_map(|d| nets.iter().map(move |n| (d, n)))
+        {
+            let a = AccuracyModel::for_network(net);
+            for p in [LayerProfiler::noiseless(d), LayerProfiler::new(d)] {
+                let space = SearchSpace::build_for(&p, &a, &backend, net);
+                for genome in space.enumerate_within(100_000) {
+                    let kept = space.kept_map(&genome);
+                    let specs: Vec<ConvLayerSpec> = net
+                        .layers()
+                        .iter()
+                        .map(|l| l.with_c_out(kept[l.label()]).unwrap())
+                        .collect();
+                    let latency_ms: f64 = p
+                        .measure_batch(&backend, &specs)
+                        .iter()
+                        .map(|m| m.median_ms())
+                        .sum();
+                    let energy_mj: f64 = specs.iter().map(|s| p.energy_mj(&backend, s)).sum();
+                    let ladder_ms: f64 = (0..genome.len())
+                        .map(|i| space.ladder(i)[genome[i]].1)
+                        .sum();
+                    let got = space.score(&genome);
+                    assert_eq!(got.latency_ms.to_bits(), latency_ms.to_bits());
+                    assert_eq!(got.latency_ms.to_bits(), ladder_ms.to_bits());
+                    assert_eq!(got.energy_mj.to_bits(), energy_mj.to_bits());
+                    assert_eq!(got.accuracy.to_bits(), a.accuracy_with(&kept).to_bits());
+                }
+            }
         }
+    }
+
+    /// 64 two-slot ladders make 2^64 configurations, which a wrapping
+    /// product reports as 0: the cap guard must see the overflow.
+    #[test]
+    #[should_panic(expected = "more than 2^64 configurations exceed the enumeration cap")]
+    fn enumeration_refuses_a_space_past_u64_max() {
+        let net = testkit::wide_net();
+        let (p, a) = testkit::noiseless_setup(&net, &Device::mali_g72_hikey970());
+        let space = SearchSpace::build_for(&p, &a, &AclGemm::new(), &net);
+        assert!((0..space.num_layers()).all(|i| space.ladder(i).len() == 2));
+        assert_eq!(space.total_configs(), 0, "2^64 modulo 2^64");
+        let _ = space.enumerate_within(1_000_000);
+    }
+
+    /// ResNet-50's product passes `u64::MAX`; the reported count is the
+    /// wrapped value the search report pins, in debug builds too.
+    #[test]
+    fn resnet50_total_configs_wraps_without_panicking() {
+        let net = pruneperf_models::resnet50();
+        let (p, a) = testkit::noiseless_setup(&net, &Device::mali_g72_hikey970());
+        let space = SearchSpace::build_for(&p, &a, &AclGemm::new(), &net);
+        assert_eq!(space.total_configs(), 9_767_793_913_678_004_224);
     }
 
     #[test]

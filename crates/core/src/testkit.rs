@@ -81,6 +81,18 @@ pub fn ragged_net() -> Network {
     )
 }
 
+/// Sixty-four 1×1 64→8 layers at 56×56. On the HiKey 970 under ACL GEMM
+/// each ladder is `[4, 8]`, so the joint space has 2^64 configurations:
+/// the fixture for the overflow-checked enumeration caps.
+pub fn wide_net() -> Network {
+    Network::new(
+        "Wide",
+        (0..64)
+            .map(|i| ConvLayerSpec::new(format!("W.L{i}"), 1, 1, 0, 64, 8, 56, 56))
+            .collect(),
+    )
+}
+
 /// A 3×3, stride-1, 8→12 layer at 14×14 — the shape the cross-stack
 /// validation suite checks instruction/MAC ratios on. `pad` is 1 for the
 /// "same" variant and 0 for the "valid" variant.
@@ -151,6 +163,7 @@ mod tests {
         assert_eq!(analysis_net().len(), 2);
         assert_eq!(micro_net().len(), 3);
         assert_eq!(ragged_net().len(), 3);
+        assert_eq!(wide_net().len(), 64);
         assert_eq!(val_layer("Val.L0", 1).pad(), 1);
         assert_eq!(prop_layer(0, 3, 14, 8, 16).pad(), 1);
         assert_eq!(prop_layer(1, 1, 14, 8, 16).pad(), 0);

@@ -1,6 +1,9 @@
 //! Property-based invariants of the staircase analysis, Pareto utilities
 //! (both the 2-D `pareto_front` and the 3-D `ParetoArchive`) and heatmap
-//! construction.
+//! construction, plus a seeded differential test of `ParetoArchive`
+//! against a linear-scan oracle.
+
+use std::cmp::Ordering;
 
 use proptest::prelude::*;
 use pruneperf_core::search::{ParetoArchive, ParetoPoint};
@@ -38,7 +41,6 @@ fn archive_of(pairs: &[(usize, (f64, f64, f64))]) -> ParetoArchive<usize> {
 fn entry_bits(archive: &ParetoArchive<usize>) -> Vec<(u64, u64, u64, usize)> {
     archive
         .entries()
-        .iter()
         .map(|(p, t)| {
             (
                 p.latency_ms.to_bits(),
@@ -62,6 +64,176 @@ fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
         out.swap(i, (state % (i as u64 + 1)) as usize);
     }
     out
+}
+
+/// A linear-scan archive: every offer scans the whole front, kept in
+/// ascending canonical order. The oracle for `ParetoArchive`'s binary
+/// search, scan bounds and block minimums.
+#[derive(Default)]
+struct LinearArchive {
+    entries: Vec<(ParetoPoint, usize)>,
+    dominated: u64,
+    duplicates: u64,
+}
+
+impl LinearArchive {
+    fn canonical_cmp(a: &ParetoPoint, b: &ParetoPoint) -> Ordering {
+        a.latency_ms
+            .total_cmp(&b.latency_ms)
+            .then(a.energy_mj.total_cmp(&b.energy_mj))
+            .then(b.accuracy.total_cmp(&a.accuracy))
+    }
+
+    fn offer(&mut self, point: ParetoPoint, payload: usize) -> bool {
+        let same = |p: &ParetoPoint| Self::canonical_cmp(p, &point) == Ordering::Equal;
+        if let Some(slot) = self.entries.iter().position(|(p, _)| same(p)) {
+            self.duplicates += 1;
+            if payload < self.entries[slot].1 {
+                self.entries[slot].1 = payload;
+            }
+            return true;
+        }
+        if self.entries.iter().any(|(p, _)| p.dominates(&point)) {
+            self.dominated += 1;
+            return false;
+        }
+        let before = self.entries.len();
+        self.entries.retain(|(p, _)| !point.dominates(p));
+        self.dominated += (before - self.entries.len()) as u64;
+        let at = self
+            .entries
+            .partition_point(|(p, t)| match Self::canonical_cmp(p, &point) {
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => *t < payload,
+            });
+        self.entries.insert(at, (point, payload));
+        true
+    }
+}
+
+/// A splitmix64 stream for the oracle test's offer streams.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// `true` with probability `p`.
+    fn chance(&mut self, p: f64) -> bool {
+        (self.unit() + 1.0) / 2.0 < p
+    }
+}
+
+/// `x` rounded to a multiple of `step`, keeping the sign of a zero.
+fn quantize(x: f64, step: f64) -> f64 {
+    let q = (x / step).round() * step;
+    if q == 0.0 {
+        0.0f64.copysign(x)
+    } else {
+        q
+    }
+}
+
+/// Offer `k` of a stream shaped like the beam's: latency and accuracy
+/// fall together as the search prunes, energy tracks latency, all with
+/// noise. `quantum` rounds every objective to force ties and duplicates;
+/// `zeros` replaces some latencies (and energies) with `±0.0`.
+fn beam_like_offer(rng: &mut Stream, k: usize, n: usize, quantum: f64, zeros: bool) -> ParetoPoint {
+    let progress = k as f64 / n as f64 + 0.05 * rng.unit();
+    let mut latency_ms = 100.0 * (1.0 - 0.8 * progress) * (1.0 + 0.04 * rng.unit());
+    let mut energy_mj = latency_ms * 1.4 * (1.0 + 0.08 * rng.unit());
+    let mut accuracy = 0.76 - 0.3 * progress.clamp(0.0, 1.0).powf(1.6) + 0.01 * rng.unit();
+    if quantum > 0.0 {
+        latency_ms = quantize(latency_ms, quantum);
+        energy_mj = quantize(energy_mj, 2.0 * quantum);
+        accuracy = quantize(accuracy, quantum / 100.0);
+    }
+    if zeros && rng.chance(0.03) {
+        let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+        latency_ms = 0.0f64.copysign(sign);
+        if rng.chance(0.5) {
+            energy_mj = 0.0f64.copysign(-sign);
+        }
+        accuracy = quantize(0.05 * (rng.unit() + 1.0), 0.01);
+    }
+    pt((latency_ms, energy_mj, accuracy))
+}
+
+/// `ParetoArchive` agrees with the linear-scan oracle offer by offer (the
+/// return value and every counter) and in its final front, bit for bit,
+/// over beam-like streams: continuous, quantized, and with `±0.0`
+/// latencies. The fronts span many 32-entry blocks, so a wrong scan
+/// bound or a stale block minimum surfaces as a missed dominator or
+/// victim.
+#[test]
+fn archive_matches_the_linear_scan_oracle() {
+    let mut widest = 0;
+    for stream in 0..60u64 {
+        let mut rng = Stream(stream);
+        let n = 3000 + (rng.next() % 2001) as usize;
+        let quantum = [0.0, 0.5, 0.05][stream as usize % 3];
+        let zeros = stream % 2 == 1;
+        let mut archive = ParetoArchive::new();
+        let mut oracle = LinearArchive::default();
+        for k in 0..n {
+            let point = beam_like_offer(&mut rng, k, n, quantum, zeros);
+            let payload = (rng.next() % 1000) as usize;
+            let on_front = archive.offer(point, payload);
+            assert_eq!(
+                on_front,
+                oracle.offer(point, payload),
+                "stream {stream} offer {k}: {point:?}"
+            );
+            assert_eq!(
+                archive.dominated(),
+                oracle.dominated,
+                "stream {stream} offer {k}"
+            );
+            assert_eq!(
+                archive.duplicates(),
+                oracle.duplicates,
+                "stream {stream} offer {k}"
+            );
+            assert_eq!(
+                archive.len(),
+                oracle.entries.len(),
+                "stream {stream} offer {k}"
+            );
+            widest = widest.max(archive.len());
+        }
+        let expected: Vec<(u64, u64, u64, usize)> = oracle
+            .entries
+            .iter()
+            .map(|(p, t)| {
+                (
+                    p.latency_ms.to_bits(),
+                    p.energy_mj.to_bits(),
+                    p.accuracy.to_bits(),
+                    *t,
+                )
+            })
+            .collect();
+        assert_eq!(
+            entry_bits(&archive),
+            expected,
+            "stream {stream}: final front"
+        );
+    }
+    assert!(
+        widest > 8 * 32,
+        "fronts should span many blocks, widest {widest}"
+    );
 }
 
 fn curve_strategy() -> impl Strategy<Value = LatencyCurve> {
@@ -186,8 +358,8 @@ proptest! {
         let pairs: Vec<(usize, (f64, f64, f64))> =
             triples.into_iter().enumerate().collect();
         let archive = archive_of(&pairs);
-        for (i, (p, _)) in archive.entries().iter().enumerate() {
-            for (j, (q, _)) in archive.entries().iter().enumerate() {
+        for (i, (p, _)) in archive.entries().enumerate() {
+            for (j, (q, _)) in archive.entries().enumerate() {
                 if i != j {
                     prop_assert!(!p.dominates(q), "entry {i} dominates entry {j}");
                 }
@@ -294,7 +466,6 @@ proptest! {
         }
         let mut from_archive: Vec<(u64, u64)> = archive
             .entries()
-            .iter()
             .map(|(p, _)| (p.latency_ms.to_bits(), p.accuracy.to_bits()))
             .collect();
         let mut from_front: Vec<(u64, u64)> = pareto_front(&cands)

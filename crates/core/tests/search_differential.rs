@@ -21,8 +21,8 @@
 
 use pruneperf_backends::AclGemm;
 use pruneperf_core::search::{
-    evaluate_genomes, exhaustive_prune_to_latency, search, ParetoPoint, SearchAlgo, SearchConfig,
-    SearchOutcome, SearchSpace,
+    exhaustive_prune_to_latency, search, ParetoPoint, SearchAlgo, SearchConfig, SearchOutcome,
+    SearchSpace,
 };
 use pruneperf_core::testkit;
 use pruneperf_core::{PerfAwarePruner, PruningPlan};
@@ -57,16 +57,18 @@ fn bits(p: &ParetoPoint) -> (u64, u64, u64) {
     )
 }
 
+/// Every point of the fixture space, enumeration order.
+fn all_points(space: &SearchSpace) -> Vec<ParetoPoint> {
+    space
+        .enumerate_within(ENUM_CAP)
+        .iter()
+        .map(|g| space.score(g))
+        .collect()
+}
+
 /// The enumerated true Pareto front of the fixture space.
-fn true_front(
-    profiler: &pruneperf_profiler::LayerProfiler,
-    accuracy: &pruneperf_core::accuracy::AccuracyModel,
-    backend: &AclGemm,
-    network: &pruneperf_models::Network,
-    space: &SearchSpace,
-) -> Vec<ParetoPoint> {
-    let all = space.enumerate_within(ENUM_CAP);
-    let pts = evaluate_genomes(profiler, accuracy, backend, network, space, &all, 8);
+fn true_front(space: &SearchSpace) -> Vec<ParetoPoint> {
+    let pts = all_points(space);
     pts.iter()
         .copied()
         .filter(|q| !pts.iter().any(|o| o.dominates(q)))
@@ -102,7 +104,7 @@ fn beam_front_is_a_subset_of_the_true_pareto_front() {
     for (device, width) in devices_and_widths() {
         let (p, a) = testkit::noiseless_setup(&net, &device);
         let space = SearchSpace::build_for(&p, &a, &backend, &net);
-        let truth = true_front(&p, &a, &backend, &net, &space);
+        let truth = true_front(&space);
         let truth_bits: Vec<(u64, u64, u64)> = truth.iter().map(bits).collect();
         for seed in SEEDS {
             let out = beam(&p, &a, &backend, &net, seed, width);
@@ -134,8 +136,8 @@ fn exhaustive_optima_are_matched_or_dominated_by_the_beam_front() {
                 else {
                     continue;
                 };
-                // The exact optimum's objective point: re-measure energy
-                // through the same evaluator paths the beam uses.
+                // The exact optimum's objective point, scored the way the
+                // beam scores its candidates.
                 let space = SearchSpace::build_for(&p, &a, &backend, &net);
                 let genome: Vec<usize> = (0..space.num_layers())
                     .map(|i| {
@@ -147,7 +149,7 @@ fn exhaustive_optima_are_matched_or_dominated_by_the_beam_front() {
                             .expect("exact optimum picks ladder points")
                     })
                     .collect();
-                let ex = evaluate_genomes(&p, &a, &backend, &net, &space, &[genome], 1)[0];
+                let ex = space.score(&genome);
                 let covered = out.plans.iter().any(|plan| {
                     let q = point_of(plan);
                     bits(&q) == bits(&ex) || q.dominates(&ex)
@@ -246,9 +248,7 @@ fn greedy_is_optimal_on_the_cuda_devices() {
         let (p, a) = testkit::noiseless_setup(&net, &device);
         let greedy = PerfAwarePruner::new(&p, &a).prune_to_latency(&backend, &net, budget);
         let gpt = point_of(&greedy);
-        let space = SearchSpace::build_for(&p, &a, &backend, &net);
-        let all = space.enumerate_within(ENUM_CAP);
-        let pts = evaluate_genomes(&p, &a, &backend, &net, &space, &all, 8);
+        let pts = all_points(&SearchSpace::build_for(&p, &a, &backend, &net));
         assert!(
             !pts.iter()
                 .any(|q| q.accuracy >= gpt.accuracy

@@ -37,6 +37,9 @@ cargo test -q --release -p pruneperf-core --test search_differential
 cargo run --release -q -- search --network alexnet --json --jobs 1 > /tmp/pruneperf-search-seq.json
 cargo run --release -q -- search --network alexnet --json --jobs 8 > /tmp/pruneperf-search-par.json
 cmp /tmp/pruneperf-search-seq.json /tmp/pruneperf-search-par.json
+cargo run --release -q -- search --network resnet50 --json --jobs 1 > /tmp/pruneperf-search-r50-seq.json
+cargo run --release -q -- search --network resnet50 --json --jobs 2 > /tmp/pruneperf-search-r50-par.json
+cmp /tmp/pruneperf-search-r50-seq.json /tmp/pruneperf-search-r50-par.json
 rm -f /tmp/pruneperf-search-cache.txt
 cargo run --release -q -- search --network alexnet --json \
   --persist /tmp/pruneperf-search-cache.txt > /tmp/pruneperf-search-cold.json

@@ -1,9 +1,11 @@
 //! End-to-end behaviour of `pruneperf search`: the JSON report is
 //! byte-identical across worker counts and across a persist/reload
-//! resume, the resumed run answers entirely from the restored cache, and
-//! the flag surface rejects malformed input instead of guessing.
+//! resume, the resumed run answers entirely from the restored cache, the
+//! ResNet-50 fronts match the benchmark's recorded digests, and the flag
+//! surface rejects malformed input instead of guessing.
 
 use pruneperf::cli::{run_cli, CliError};
+use pruneperf_backends::hash::fnv1a;
 
 fn run(args: &[&str]) -> Result<String, CliError> {
     let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -32,6 +34,52 @@ fn search_json_is_byte_identical_across_worker_counts() {
     assert_eq!(sequential, parallel);
     assert!(sequential.contains("\"algo\": \"beam\""), "{sequential}");
     assert!(sequential.contains("\"front\""), "{sequential}");
+}
+
+/// The benchmark's ResNet-50 beam search reproduces the fronts recorded
+/// in `benchmark/expected/search.tsv` (one row per seed: seed, FNV-1a
+/// digest of the JSON report in hex, `evaluated`, `archived`). The file
+/// is only read.
+#[test]
+fn resnet50_beam_fronts_match_the_recorded_digests() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/expected/search.tsv");
+    let recorded = std::fs::read_to_string(path).expect("recorded search fronts");
+    for seed in ["1", "2"] {
+        let row: Vec<&str> = recorded
+            .lines()
+            .map(|line| line.split('\t').collect::<Vec<_>>())
+            .find(|row| row[0] == seed)
+            .expect("seed has a recorded row");
+        let json = run(&[
+            "search",
+            "--network",
+            "resnet50",
+            "--device",
+            "hikey970",
+            "--backend",
+            "acl-gemm",
+            "--algo",
+            "beam",
+            "--jobs",
+            "2",
+            "--json",
+            "--seed",
+            seed,
+        ])
+        .expect("search succeeds");
+        let digest = u64::from_str_radix(row[1], 16).expect("hex digest");
+        assert_eq!(fnv1a(json.as_bytes()), digest, "seed {seed}: report digest");
+        assert!(
+            json.contains(&format!("\"evaluated\": {},\n", row[2])),
+            "seed {seed}: evaluated should be {}",
+            row[2]
+        );
+        assert!(
+            json.contains(&format!("\"archived\": {},\n", row[3])),
+            "seed {seed}: archived should be {}",
+            row[3]
+        );
+    }
 }
 
 /// Persist/resume invariance: an interrupted-and-resumed search (cache
