@@ -6,10 +6,9 @@
 //! over-approximates (unrelated same-named methods become edges) and never
 //! under-approximates within first-party code — the right bias for every
 //! consumer: the concurrency rules want every lock a callee *might* take,
-//! the panic-path rules want every panic a fallible entry point *might*
-//! reach, and the hot-path rules want every function a hot root *might*
-//! drive per iteration. Calls into `std` or vendored dependencies resolve
-//! to nothing and are ignored.
+//! and the panic-path and resource-bound rules want every panic or
+//! recursion a fallible entry point *might* reach. Calls into `std` or
+//! vendored dependencies resolve to nothing and are ignored.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -45,7 +44,6 @@ impl<'m> CallGraph<'m> {
         }
         let mut edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(model.functions.len());
         for f in &model.functions {
-            // lint: allow(hot-alloc) — graph built once per check run; `build` collides with hot plan builders
             let mut out: BTreeMap<usize, usize> = BTreeMap::new();
             for call in &f.calls {
                 if let Some(targets) = by_name.get(call.name.as_str()) {
@@ -54,7 +52,6 @@ impl<'m> CallGraph<'m> {
                     }
                 }
             }
-            // lint: allow(hot-alloc) — graph built once per check run; `build` collides with hot plan builders
             edges.push(out.into_iter().collect());
         }
         CallGraph {

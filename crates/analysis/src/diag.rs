@@ -118,8 +118,6 @@ pub struct Report {
     pub traces_audited: usize,
     /// Functions modeled by the concurrency/panic-path analyses.
     pub functions_modeled: usize,
-    /// Functions on the hot serving/search path per the hot-path rules.
-    pub hot_functions: usize,
 }
 
 impl Report {
@@ -133,7 +131,6 @@ impl Report {
             networks_verified: 0,
             traces_audited: 0,
             functions_modeled: 0,
-            hot_functions: 0,
         }
     }
 
@@ -148,7 +145,6 @@ impl Report {
         self.networks_verified += other.networks_verified;
         self.traces_audited += other.traces_audited;
         self.functions_modeled += other.functions_modeled;
-        self.hot_functions += other.hot_functions;
     }
 
     /// Finding counts per rule family, in [`crate::rules::FAMILIES`]
@@ -202,15 +198,14 @@ impl Report {
             out.push('\n');
         }
         out.push_str(&format!(
-            "lint: {} error(s), {} warning(s) over {} plan(s), {} file(s), {} network(s), {} trace(s) and {} function(s) ({} hot)\n",
+            "lint: {} error(s), {} warning(s) over {} plan(s), {} file(s), {} network(s), {} trace(s) and {} function(s)\n",
             self.errors(),
             self.warnings(),
             self.plans_audited,
             self.files_scanned,
             self.networks_verified,
             self.traces_audited,
-            self.functions_modeled,
-            self.hot_functions
+            self.functions_modeled
         ));
         out
     }
@@ -226,15 +221,14 @@ impl Report {
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&format!(
-            "  \"summary\": {{\"errors\": {}, \"warnings\": {}, \"plans_audited\": {}, \"files_scanned\": {}, \"networks_verified\": {}, \"traces_audited\": {}, \"functions_modeled\": {}, \"hot_functions\": {}, \"families\": {{{families}}}}},\n",
+            "  \"summary\": {{\"errors\": {}, \"warnings\": {}, \"plans_audited\": {}, \"files_scanned\": {}, \"networks_verified\": {}, \"traces_audited\": {}, \"functions_modeled\": {}, \"families\": {{{families}}}}},\n",
             self.errors(),
             self.warnings(),
             self.plans_audited,
             self.files_scanned,
             self.networks_verified,
             self.traces_audited,
-            self.functions_modeled,
-            self.hot_functions
+            self.functions_modeled
         ));
         out.push_str("  \"diagnostics\": [");
         for (i, d) in self.diagnostics.iter().enumerate() {
@@ -331,7 +325,7 @@ mod tests {
 
     #[test]
     fn family_counts_cover_every_family_in_order() {
-        let mut warn = d("PF002", "h.rs:3", "fmt");
+        let mut warn = d("SL006", "h.rs:3", "doc");
         warn.severity = Severity::Warning;
         let r = Report::new(vec![
             d("PA001", "a", "y"),
@@ -342,19 +336,20 @@ mod tests {
         let prefixes: Vec<&str> = counts.iter().map(|(p, _)| *p).collect();
         assert_eq!(
             prefixes,
-            ["PA", "SL", "NV", "TA", "CC", "PN", "PF", "RB"],
+            ["PA", "SL", "NV", "TA", "CC", "PN", "RB"],
             "{counts:?}"
         );
         let get = |p: &str| counts.iter().find(|(q, _)| *q == p).map(|(_, n)| *n);
         assert_eq!(get("PA"), Some(1));
-        assert_eq!(get("PF"), Some(1));
+        assert_eq!(get("SL"), Some(1));
         assert_eq!(get("RB"), Some(1));
-        assert_eq!(get("SL"), Some(0));
+        assert_eq!(get("NV"), Some(0));
         let json = r.render_json();
         assert!(
-            json.contains(r#""families": {"pa": 1, "sl": 0, "nv": 0, "ta": 0, "cc": 0, "pn": 0, "pf": 1, "rb": 1}"#),
+            json.contains(
+                r#""families": {"pa": 1, "sl": 1, "nv": 0, "ta": 0, "cc": 0, "pn": 0, "rb": 1}"#
+            ),
             "{json}"
         );
-        assert!(json.contains(r#""hot_functions": 0"#), "{json}");
     }
 }

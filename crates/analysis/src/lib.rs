@@ -1,5 +1,5 @@
 //! Static analysis for the pruneperf workspace: structured diagnostics
-//! with four layers on top.
+//! with seven analyses on top.
 //!
 //! - **Plan audit** ([`plan_audit`]): enumerates [`pruneperf_backends`]
 //!   dispatch plans across the paper's devices and a representative layer
@@ -29,11 +29,6 @@
 //!   `try_measure`, `try_run`, `latency_curve_partial`, `with_retry`) to
 //!   every panic source — unwrap/expect, panicking macros, indexing and
 //!   div-by-len (rules `PN001`–`PN003`).
-//! - **Hot-path performance** ([`hotpath`]): hotness propagated from the
-//!   serving/search roots (`cost`, `try_cost`, `run_chain_with`, the
-//!   fan-out closures, …) through the call graph, flagging per-iteration
-//!   allocation, formatting, cloning, unreserved growth, lock churn and
-//!   unmemoized engine calls inside hot loops (rules `PF001`–`PF006`).
 //! - **Resource bounds** ([`resource`]): grow-only struct fields,
 //!   unbounded channels, cache structs without a capacity policy, and
 //!   unbounded recursion on the fallible surface (rules `RB001`–`RB004`).
@@ -41,10 +36,11 @@
 //! All layers report through the shared [`Diagnostic`]/[`Report`] core in
 //! [`diag`], which renders human or JSON output in a canonical order so
 //! parallel runs are byte-identical. The rule catalog with stable ids
-//! lives in [`rules`]. The `pruneperf lint` CLI subcommand and the CI
-//! `lint` job drive [`run_full`]; `pruneperf audit` and the CI `audit`
-//! job drive [`run_audit`]; `pruneperf check` and the CI `check` job
-//! drive [`run_check`].
+//! lives in [`rules`]; `docs/RULE_CATALOG.md` also keeps the ledger of
+//! retired rules, whose ids are never reused. The `pruneperf lint` CLI
+//! subcommand and the CI `lint` job drive [`run_full`]; `pruneperf
+//! audit` and the CI `audit` job drive [`run_audit`]; `pruneperf check`
+//! and the CI `check` job drive [`run_check`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +48,6 @@
 pub mod callgraph;
 pub mod concurrency;
 pub mod diag;
-pub mod hotpath;
 pub mod model;
 pub mod network_verify;
 pub mod panic_path;
@@ -94,9 +89,9 @@ pub fn run_audit(jobs: usize) -> Report {
     report
 }
 
-/// Runs the concurrency-discipline, panic-path, hot-path performance and
-/// resource-bound analyses over the source tree at `root` and merges them
-/// into one report.
+/// Runs the concurrency-discipline, panic-path and resource-bound
+/// analyses over the source tree at `root` and merges them into one
+/// report.
 ///
 /// Per-file model building fans out over `jobs` workers with
 /// input-ordered reduction; the graph analyses are sequential over the
@@ -110,12 +105,9 @@ pub fn run_check(root: &Path, jobs: usize) -> io::Result<Report> {
     let graph = callgraph::CallGraph::build(&source_model);
     let mut diags = concurrency::check(&graph);
     diags.extend(panic_path::check(&graph));
-    let (pf_diags, hot_functions) = hotpath::check(&graph);
-    diags.extend(pf_diags);
     diags.extend(resource::check(&graph));
     let mut report = Report::new(diags);
     report.files_scanned = source_model.files;
     report.functions_modeled = source_model.functions.len();
-    report.hot_functions = hot_functions;
     Ok(report)
 }

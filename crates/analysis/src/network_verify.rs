@@ -717,7 +717,6 @@ pub fn audit_network_grid(jobs: usize) -> Report {
             cells.push((2, n, d));
         }
     }
-    // lint: allow(hot-root) — build-time verification grid, not a serving path
     let results = sweep::ordered_parallel_map(&cells, jobs, |&(kind, n, d)| match kind {
         0 => {
             let net = &stock_networks()[n];

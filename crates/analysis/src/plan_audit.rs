@@ -814,7 +814,6 @@ pub fn audit_paper_grid(jobs: usize) -> Report {
     let cells: Vec<(usize, usize, usize)> = (0..devices.len())
         .flat_map(|d| (0..backends).flat_map(move |b| (0..n_layers).map(move |l| (d, b, l))))
         .collect();
-    // lint: allow(hot-root) — build-time audit grid, not a serving path
     let results = sweep::ordered_parallel_map(&cells, jobs, |&(d, b, l)| {
         let backend = &audited_backends()[b];
         audit_cell(backend.as_ref(), &devices[d], &layers[l])

@@ -2,14 +2,16 @@
 //!
 //! Ids are load-bearing — they appear in JSON output, CI logs, tests and
 //! `DESIGN.md` — so they are append-only: never renumber, never reuse.
+//! A retired rule's id (the `PF…` hot-path family) stays retired; the
+//! ledger in `docs/RULE_CATALOG.md` records why.
 //!
 //! To add a rule: pick the next free id in the right family (see
 //! [`FAMILIES`]), add a [`RuleInfo`] row here, implement the check in
 //! [`crate::plan_audit`] / [`crate::source_lint`] /
 //! [`crate::network_verify`] / [`crate::trace_audit`] /
 //! [`crate::concurrency`] / [`crate::panic_path`] /
-//! [`crate::hotpath`] / [`crate::resource`] citing the id, and
-//! add at least one test that seeds a violation.
+//! [`crate::resource`] citing the id, and add at least one test that
+//! seeds a violation.
 
 use crate::diag::Severity;
 
@@ -19,7 +21,7 @@ pub struct RuleInfo {
     /// Stable id (`PA…` = plan audit, `SL…` = source lint,
     /// `NV…` = network dataflow verifier, `TA…` = schedule-trace auditor,
     /// `CC…` = concurrency discipline, `PN…` = panic-path reachability,
-    /// `PF…` = hot-path performance, `RB…` = resource bounds).
+    /// `RB…` = resource bounds).
     pub id: &'static str,
     /// Default severity of a violation.
     pub severity: Severity,
@@ -139,26 +141,6 @@ pub const PN002: &str = "PN002";
 /// No unmarked slice/array indexing or div-by-`len()` transitively
 /// reachable from the fallible API surface.
 pub const PN003: &str = "PN003";
-
-/// No unmarked heap allocation (`Vec::new`, `vec!`, `Box::new`,
-/// `collect`, …) inside a loop body on a hot path (reachable from the
-/// serving/search roots).
-pub const PF001: &str = "PF001";
-/// No per-iteration string formatting (`format!`, `to_string`,
-/// `String::from`) inside a hot loop body.
-pub const PF002: &str = "PF002";
-/// No `clone()` of a modeled (non-`Arc`) value inside a hot loop body.
-pub const PF003: &str = "PF003";
-/// No `push`/`insert` growth inside a hot loop into a local collection
-/// bound without `with_capacity` and never `reserve`d.
-pub const PF004: &str = "PF004";
-/// No repeated `lock()`/`read()`/`write()` acquisition inside a hot loop
-/// body — hoist the guard outside the loop.
-pub const PF005: &str = "PF005";
-/// No hot loop body calling an unmemoized engine entry point
-/// (`run_chain`, `run_chain_with`, `simulate_chain`) — route through the
-/// cache/memo layers instead.
-pub const PF006: &str = "PF006";
 
 /// No grow-only struct-field collection: a field receiving
 /// `push`/`insert`/`extend` somewhere in the workspace must have a
@@ -370,36 +352,6 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "no unmarked indexing or div-by-len reachable from the fallible API",
     },
     RuleInfo {
-        id: PF001,
-        severity: Severity::Warning,
-        summary: "no unmarked heap allocation inside a hot loop body",
-    },
-    RuleInfo {
-        id: PF002,
-        severity: Severity::Warning,
-        summary: "no per-iteration string formatting inside a hot loop body",
-    },
-    RuleInfo {
-        id: PF003,
-        severity: Severity::Warning,
-        summary: "no clone() of a modeled value inside a hot loop body",
-    },
-    RuleInfo {
-        id: PF004,
-        severity: Severity::Warning,
-        summary: "no unreserved push growth into a local collection in a hot loop",
-    },
-    RuleInfo {
-        id: PF005,
-        severity: Severity::Warning,
-        summary: "no repeated lock acquisition inside a hot loop body",
-    },
-    RuleInfo {
-        id: PF006,
-        severity: Severity::Error,
-        summary: "no hot loop calling an unmemoized engine entry point",
-    },
-    RuleInfo {
         id: RB001,
         severity: Severity::Error,
         summary: "no grow-only struct-field collection without a shrink site",
@@ -463,7 +415,6 @@ pub const FAMILIES: &[(&str, &str)] = &[
     ("TA", "schedule-trace auditor"),
     ("CC", "concurrency discipline"),
     ("PN", "panic-path reachability"),
-    ("PF", "hot-path performance"),
     ("RB", "resource bounds"),
 ];
 

@@ -15,9 +15,10 @@
 //! // lint: allow(unwrap) — queue is seeded above, pop cannot fail
 //! ```
 //!
-//! Recognized keys: `wall-clock` (SL001), `rng` (SL002), `map-order`
-//! (SL003), `unwrap` (SL005), `docs` (SL006), `float-eq` (SL007). `SL004`
-//! has no marker — a crate root either forbids unsafe code or it does not.
+//! Recognized keys ([`SL_MARKER_KEYS`]): `wall-clock` (SL001), `rng`
+//! (SL002), `map-order` (SL003), `unwrap` (SL005), `docs` (SL006),
+//! `float-eq` (SL007). `SL004` has no marker — a crate root either forbids
+//! unsafe code or it does not.
 
 use std::fs;
 use std::io;
@@ -27,6 +28,16 @@ use pruneperf_profiler::sweep;
 
 use crate::diag::{Diagnostic, Report, Severity};
 use crate::rules;
+
+/// The suppression-marker keys the source-lint rules honor.
+pub const SL_MARKER_KEYS: &[&str] = &[
+    "wall-clock",
+    "rng",
+    "map-order",
+    "unwrap",
+    "docs",
+    "float-eq",
+];
 
 /// Paths (relative, `/`-separated prefixes) where SL001/SL002 apply in repo
 /// mode: the simulation and measurement pipeline, where wall-clock or
@@ -92,7 +103,6 @@ pub fn lint_sources(root: &Path, jobs: usize) -> io::Result<Report> {
     }
     inputs.sort_by(|a, b| a.0.cmp(&b.0));
 
-    // lint: allow(hot-root) — build-time lint pass over files, not a serving path
     let per_file = sweep::ordered_parallel_map(&inputs, jobs, |(rel, content)| {
         scan_file(rel, content, workspace)
     });

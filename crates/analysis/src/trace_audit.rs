@@ -363,7 +363,6 @@ pub fn audit_trace_grid(jobs: usize) -> Report {
     let cells: Vec<(usize, usize)> = (0..devices.len())
         .flat_map(|d| (0..backends).map(move |b| (d, b)))
         .collect();
-    // lint: allow(hot-root) — build-time audit grid, not a serving path
     let results = sweep::ordered_parallel_map(&cells, jobs, |&(d, b)| audit_cell(b, &devices[d]));
     let mut diags = Vec::new();
     let mut audited = 0;

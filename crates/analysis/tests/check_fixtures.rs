@@ -1,5 +1,5 @@
-//! The concurrency/panic-path/hot-path/resource checker over the seeded
-//! fixture trees: one deliberately-bad tree per CC/PN/PF/RB rule, a clean
+//! The concurrency/panic-path/resource checker over the seeded fixture
+//! trees: one deliberately-bad tree per CC/PN/RB rule, a clean
 //! tree that exercises the same shapes without violating anything, and a
 //! byte-identity guarantee across worker counts.
 
@@ -26,12 +26,6 @@ fn each_seeded_fixture_trips_its_rule() {
         ("pn001", rules::PN001),
         ("pn002", rules::PN002),
         ("pn003", rules::PN003),
-        ("pf001", rules::PF001),
-        ("pf002", rules::PF002),
-        ("pf003", rules::PF003),
-        ("pf004", rules::PF004),
-        ("pf005", rules::PF005),
-        ("pf006", rules::PF006),
         ("rb001", rules::RB001),
         ("rb002", rules::RB002),
         ("rb003", rules::RB003),
@@ -51,8 +45,8 @@ fn seeded_fixtures_stay_on_target() {
     // Each bad tree seeds exactly one hazard; a fixture that also trips
     // unrelated rules would stop isolating the rule it names.
     for dir in [
-        "cc001", "cc002", "cc003", "cc004", "cc005", "cc006", "cc007", "pn001", "pn002", "pf001",
-        "pf002", "pf003", "pf004", "pf005", "pf006", "rb001", "rb002", "rb003", "rb004",
+        "cc001", "cc002", "cc003", "cc004", "cc005", "cc006", "cc007", "pn001", "pn002", "rb001",
+        "rb002", "rb003", "rb004",
     ] {
         let report = run_check(&fixture(dir), 1).expect("fixture tree readable");
         let rules_hit: Vec<&str> = report.diagnostics().iter().map(|d| d.rule).collect();
@@ -75,22 +69,6 @@ fn seeded_fixtures_stay_on_target() {
 }
 
 #[test]
-fn pf_findings_carry_hot_root_chains() {
-    // Every PF diagnostic explains *why* the function is hot: the
-    // shortest root→site call chain, like the PN rules.
-    for dir in ["pf001", "pf002", "pf003", "pf004", "pf005", "pf006"] {
-        let report = run_check(&fixture(dir), 1).expect("fixture tree readable");
-        for d in report.diagnostics() {
-            assert!(
-                d.message.contains("hot from `") && d.message.contains("via"),
-                "fixtures/check/{dir}: PF finding without a hot chain:\n{}",
-                report.render_human()
-            );
-        }
-    }
-}
-
-#[test]
 fn clean_fixture_is_clean() {
     let report = run_check(&fixture("clean"), 1).expect("fixture tree readable");
     assert!(report.is_clean(), "{}", report.render_human());
@@ -99,7 +77,7 @@ fn clean_fixture_is_clean() {
 
 #[test]
 fn fixture_reports_are_identical_across_worker_counts() {
-    for dir in ["cc001", "pn001", "pf001", "rb001", "clean"] {
+    for dir in ["cc001", "pn001", "rb001", "clean"] {
         let sequential = run_check(&fixture(dir), 1).expect("fixture tree readable");
         let parallel = run_check(&fixture(dir), 8).expect("fixture tree readable");
         assert_eq!(sequential.render_json(), parallel.render_json(), "{dir}");

@@ -1,7 +1,7 @@
-//! A tree that exercises locks, fan-out, the fallible surface, hot loops
-//! and long-lived state while violating no CC/PN/PF/RB rule: consistent
-//! lock order, poison recovery, guards dropped before calls, error
-//! returns instead of panics, pre-sized hot-loop collections, a bounded
+//! A tree that exercises locks, fan-out, the fallible surface, loops and
+//! long-lived state while violating no CC/PN/RB rule: consistent lock
+//! order, poison recovery, guards dropped before calls, error returns
+//! instead of panics, a local collection grown in a loop, a bounded
 //! cache with an eviction path, and fuel-bounded recursion.
 
 use std::sync::{Mutex, PoisonError};

@@ -170,7 +170,6 @@ pub fn run(id: &str) -> Option<ExperimentResult> {
 /// [`pruneperf_profiler::LatencyCache`], so workers also warm each other's
 /// latency queries.
 pub fn run_many(ids: &[String], jobs: usize) -> Vec<Option<ExperimentResult>> {
-    // lint: allow(hot-root) — one closure run per experiment, not per candidate plan
     sweep::ordered_parallel_map(ids, jobs, |id| run(id))
 }
 

@@ -55,7 +55,6 @@ impl AccuracyModel {
             let mut norms: Vec<f64> = weights::channel_l1_norms(layer)
                 .into_iter()
                 .map(f64::from)
-                // lint: allow(hot-alloc) — one-time model build; `new` collides with hot constructors
                 .collect();
             norms.sort_by(f64::total_cmp);
             let total: f64 = norms.iter().sum();
@@ -66,12 +65,9 @@ impl AccuracyModel {
                     acc += n / total;
                     acc
                 })
-                // lint: allow(hot-alloc) — one-time model build; `new` collides with hot constructors
                 .collect();
-            // lint: allow(hot-format) — labels keyed once at construction, not per cost call
             layer_prefix_mass.insert(layer.label().to_string(), prefix);
             // Layers doing more work carry more representational weight.
-            // lint: allow(hot-format) — labels keyed once at construction, not per cost call
             layer_weight.insert(layer.label().to_string(), layer.macs() as f64 / total_macs);
         }
         AccuracyModel {

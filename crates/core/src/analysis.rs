@@ -177,7 +177,6 @@ fn build(
                     HeatmapKind::MaxSlowdown => t / t0,
                 }
             })
-            // lint: allow(hot-alloc) — one row vector per heatmap build, not per cost call
             .collect();
         for (row, &d) in distances.iter().enumerate() {
             let cell = if d <= ratios.len() {

@@ -344,7 +344,6 @@ impl<'d> Engine<'d> {
             counters.ctrl_reg_writes += d.ctrl_writes_per_job();
             counters.ctrl_reg_reads += d.ctrl_reads_per_job();
             kernels.push(KernelReport {
-                // lint: allow(hot-format) — report label, once per job on the cold (unmemoized) engine path
                 name: kernel.name().to_string(),
                 start_us: start,
                 end_us: now_us,

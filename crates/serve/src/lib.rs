@@ -47,5 +47,5 @@ pub use admission::{AdmissionConfig, AdmissionOutcome};
 pub use loadgen::{run_loadgen, LoadgenOptions};
 pub use planner::PlanService;
 pub use protocol::{PlanRequest, PlanResponse, RequestObjective};
-pub use replay::{replay_trace, ReplayOptions};
+pub use replay::replay_trace;
 pub use server::{Server, ServerOptions};

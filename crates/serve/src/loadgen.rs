@@ -15,8 +15,9 @@
 
 use std::fmt::Write as _;
 
+use crate::admission::AdmissionConfig;
 use crate::planner::PlanService;
-use crate::replay::{replay_trace_with, ReplayOptions};
+use crate::replay::replay_trace;
 
 /// Knobs for one loadgen run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,14 +127,13 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// any `--jobs` — and ends with a newline.
 pub fn run_loadgen(opts: &LoadgenOptions) -> String {
     let trace = generate_trace(opts);
-    let replay_opts = ReplayOptions {
+    let config = AdmissionConfig {
         workers: opts.workers,
         queue_capacity: opts.queue_capacity,
         service_ms: opts.service_ms,
-        cache_cap: opts.cache_cap,
     };
     let service = PlanService::new(opts.cache_cap);
-    let report = replay_trace_with(&trace, &replay_opts, &service);
+    let report = replay_trace(&trace, &config, &service);
 
     let mut latencies = report.latencies_ms.clone();
     latencies.sort_by(f64::total_cmp);
@@ -195,15 +195,12 @@ mod tests {
             ..LoadgenOptions::default()
         };
         let trace = generate_trace(&opts);
-        let report = crate::replay::replay_trace(
-            &trace,
-            &ReplayOptions {
-                workers: opts.workers,
-                queue_capacity: opts.queue_capacity,
-                service_ms: opts.service_ms,
-                cache_cap: opts.cache_cap,
-            },
-        );
+        let config = AdmissionConfig {
+            workers: opts.workers,
+            queue_capacity: opts.queue_capacity,
+            service_ms: opts.service_ms,
+        };
+        let report = replay_trace(&trace, &config, &PlanService::new(opts.cache_cap));
         assert_eq!(report.parse_errors, 0, "generated lines always parse");
         assert!(report.ok > 0);
         assert!(report.deduped > 0, "the mix injects duplicates");

@@ -352,6 +352,25 @@ mod tests {
     }
 
     #[test]
+    fn nesting_past_the_json_recursion_limit_is_malformed() {
+        // The request object is the first level; `pad` nests the rest.
+        let nested = |levels: usize| {
+            format!(
+                r#"{{"network":"alexnet","device":"tx2","budget":0.8,"pad":{}{}}}"#,
+                "[".repeat(levels - 1),
+                "]".repeat(levels - 1)
+            )
+        };
+        let limit = serde_json::RECURSION_LIMIT;
+        assert!(PlanRequest::parse(&nested(limit)).is_ok());
+        let e = PlanRequest::parse(&nested(limit + 1)).unwrap_err();
+        assert!(
+            e.starts_with("malformed request JSON") && e.contains("recursion limit"),
+            "{e}"
+        );
+    }
+
+    #[test]
     fn canonical_key_ignores_arrival_only() {
         let a = PlanRequest::parse(
             r#"{"arrival_ms":1,"network":"alexnet","device":"tx2","budget":0.8}"#,

@@ -30,41 +30,6 @@ use crate::admission::{self, AdmissionConfig};
 use crate::planner::PlanService;
 use crate::protocol::{PlanRequest, PlanResponse};
 
-/// Knobs for one replay run (and, through it, loadgen).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayOptions {
-    /// Simulated worker pool (admission model; **not** `--jobs`).
-    pub workers: usize,
-    /// Per-worker backlog bound beyond the request in admission.
-    pub queue_capacity: usize,
-    /// Virtual service time per admitted request, milliseconds.
-    pub service_ms: f64,
-    /// Latency-cache bound per shard (`0` = unbounded).
-    pub cache_cap: usize,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        let a = AdmissionConfig::default();
-        ReplayOptions {
-            workers: a.workers,
-            queue_capacity: a.queue_capacity,
-            service_ms: a.service_ms,
-            cache_cap: 0,
-        }
-    }
-}
-
-impl ReplayOptions {
-    fn admission(&self) -> AdmissionConfig {
-        AdmissionConfig {
-            workers: self.workers,
-            queue_capacity: self.queue_capacity,
-            service_ms: self.service_ms,
-        }
-    }
-}
-
 /// What one replay run produced, output bytes plus tallies for loadgen.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
@@ -102,20 +67,15 @@ enum Disposition {
     Admitted { unique_ix: usize, deduped: bool },
 }
 
-/// Replays `trace` (one JSON request per non-blank line) against a fresh
-/// [`PlanService`] and returns the response stream plus tallies.
+/// Replays `trace` (one JSON request per non-blank line) through the
+/// admission model `config` against `service`, and returns the response
+/// stream plus tallies.
 ///
-/// The output is a pure function of `(trace, opts)` — independent of
-/// `--jobs` and of any previous run (the service, cache included, is
-/// created here).
-pub fn replay_trace(trace: &str, opts: &ReplayOptions) -> ReplayReport {
-    let service = PlanService::new(opts.cache_cap);
-    replay_trace_with(trace, opts, &service)
-}
-
-/// [`replay_trace`] over a caller-owned service, so loadgen (and the
-/// `--stats` side channel) can inspect the cache and stats afterwards.
-pub fn replay_trace_with(trace: &str, opts: &ReplayOptions, service: &PlanService) -> ReplayReport {
+/// The output is a pure function of `(trace, config)` — independent of
+/// `--jobs` and of the service's cache bound. The caller owns the
+/// service, so loadgen (and the `--stats` side channel) can inspect its
+/// cache and stats afterwards.
+pub fn replay_trace(trace: &str, config: &AdmissionConfig, service: &PlanService) -> ReplayReport {
     let lines: Vec<&str> = trace.lines().filter(|l| !l.trim().is_empty()).collect();
 
     // Pass 1: parse, and run the admission model over parsed requests in
@@ -129,7 +89,7 @@ pub fn replay_trace_with(trace: &str, opts: &ReplayOptions, service: &PlanServic
         .filter_map(|p| p.as_ref().ok())
         .map(|r| (r.arrival_ms, r.device.as_str()))
         .collect();
-    let outcomes = admission::simulate(&admission_input, &opts.admission());
+    let outcomes = admission::simulate(&admission_input, config);
 
     // Pass 2: static dedup among admitted requests. The first request
     // with a given canonical key is the leader; everyone after it with
@@ -184,7 +144,6 @@ pub fn replay_trace_with(trace: &str, opts: &ReplayOptions, service: &PlanServic
     // session's job count; order-preserving by construction.
     let jobs = sweep::sweep_jobs();
     let bodies: Vec<PlanResponse> =
-        // lint: allow(hot-root) — per-request planning is the planner's own hot path, audited under its roots
         sweep::ordered_parallel_map(&leaders, jobs, |req| service.handle(req));
 
     // Pass 4: render in input order.
@@ -253,18 +212,20 @@ not even json
 {"arrival_ms":3,"network":"lenet","device":"tx2","budget":0.8}
 "#;
 
-    fn opts() -> ReplayOptions {
-        ReplayOptions {
-            workers: 2,
-            queue_capacity: 4,
-            service_ms: 5.0,
-            cache_cap: 0,
-        }
+    const CONFIG: AdmissionConfig = AdmissionConfig {
+        workers: 2,
+        queue_capacity: 4,
+        service_ms: 5.0,
+    };
+
+    /// Replays `trace` against a fresh, unbounded service.
+    fn replay(trace: &str, config: &AdmissionConfig) -> ReplayReport {
+        replay_trace(trace, config, &PlanService::new(0))
     }
 
     #[test]
     fn duplicates_are_served_once_and_flagged() {
-        let report = replay_trace(TRACE, &opts());
+        let report = replay(TRACE, &CONFIG);
         assert_eq!(report.total, 5);
         assert_eq!(report.deduped, 1);
         assert_eq!(report.parse_errors, 1);
@@ -289,12 +250,12 @@ not even json
     fn the_stream_is_jobs_invariant() {
         let baseline = {
             sweep::set_sweep_jobs(1);
-            replay_trace(TRACE, &opts()).output
+            replay(TRACE, &CONFIG).output
         };
         for jobs in [2, 8] {
             sweep::set_sweep_jobs(jobs);
             assert_eq!(
-                replay_trace(TRACE, &opts()).output,
+                replay(TRACE, &CONFIG).output,
                 baseline,
                 "replay output must be byte-identical at jobs={jobs}"
             );
@@ -312,14 +273,12 @@ not even json
                 )
             })
             .collect();
-        let o = ReplayOptions {
-            workers: 2,
+        let config = AdmissionConfig {
             queue_capacity: 1,
-            service_ms: 5.0,
-            cache_cap: 0,
+            ..CONFIG
         };
-        let a = replay_trace(&trace, &o);
-        let b = replay_trace(&trace, &o);
+        let a = replay(&trace, &config);
+        let b = replay(&trace, &config);
         assert_eq!(a, b);
         assert_eq!(
             a.shed, 4,
@@ -330,9 +289,8 @@ not even json
 
     #[test]
     fn cache_bound_does_not_change_the_stream() {
-        let unbounded = replay_trace(TRACE, &opts());
-        let mut tiny = opts();
-        tiny.cache_cap = 2;
-        assert_eq!(replay_trace(TRACE, &tiny).output, unbounded.output);
+        let unbounded = replay(TRACE, &CONFIG);
+        let tiny = replay_trace(TRACE, &CONFIG, &PlanService::new(2));
+        assert_eq!(tiny.output, unbounded.output);
     }
 }

@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== rustfmt =="
-cargo fmt --all --check || echo "(fmt check skipped / diffs above)"
+cargo fmt --all --check
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -16,6 +16,9 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "== static analysis (lint + audit + check) =="
 cargo run --release -- lint --deny-warnings
 cargo run --release -- audit --deny-warnings
+cargo run --release -q -- audit --json --jobs 1 > /tmp/pruneperf-audit-seq.json
+cargo run --release -q -- audit --json --jobs 8 > /tmp/pruneperf-audit-par.json
+cmp /tmp/pruneperf-audit-seq.json /tmp/pruneperf-audit-par.json
 cargo run --release -- check --deny-warnings
 cargo run --release -q -- check --json --jobs 1 > /tmp/pruneperf-check-seq.json
 cargo run --release -q -- check --json --jobs 8 > /tmp/pruneperf-check-par.json

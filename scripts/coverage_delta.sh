@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Prints the analyzer coverage counters of a `pruneperf check --json`
-# report next to the checked-in baseline (CHECK_COVERAGE.json), with
-# deltas. Informational only — a growing tree legitimately moves both
-# numbers; the point is making the movement visible in the CI log.
+# Prints the analyzer coverage counter (`functions_modeled`) of a
+# `pruneperf check --json` report next to the checked-in baseline
+# (CHECK_COVERAGE.json), with its delta. Informational only — a growing
+# tree legitimately moves the number; the point is making the movement
+# visible in the CI log.
 #
 # Usage: scripts/coverage_delta.sh <current-check.json> <baseline.json>
 set -euo pipefail
@@ -14,8 +15,7 @@ field() {
   grep -o "\"$2\": *[0-9][0-9]*" "$1" | head -n 1 | grep -o '[0-9][0-9]*$'
 }
 
-for key in functions_modeled hot_functions; do
-  cur="$(field "$current" "$key")"
-  base="$(field "$baseline" "$key")"
-  printf '%s: %s (baseline %s, delta %+d)\n' "$key" "$cur" "$base" "$((cur - base))"
-done
+key=functions_modeled
+cur="$(field "$current" "$key")"
+base="$(field "$baseline" "$key")"
+printf '%s: %s (baseline %s, delta %+d)\n' "$key" "$cur" "$base" "$((cur - base))"

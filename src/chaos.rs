@@ -253,7 +253,6 @@ fn worker_panic(seed: u64, rate: f64) -> ChaosScenario {
     let base = layer();
     let clean = AclGemm::new();
     let items: Vec<usize> = (0..PANIC_ITEMS).collect();
-    // lint: allow(hot-root) — chaos scenario driver: CI-time fault sweep, not a serving path
     let (slots, panics) = sweep::contained_parallel_map(&items, sweep::sweep_jobs(), |&i| {
         assert!(!plan.panics_at(i), "injected worker panic at item {i}");
         let pruned = base

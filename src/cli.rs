@@ -19,8 +19,9 @@ use pruneperf_profiler::{
     sweep, LatencyCache, LayerProfiler, NetworkRunner, Stats, ThermalGovernor,
 };
 use pruneperf_serve::catalog::{backend_by_name, device_by_name, named_devices, network_by_name};
-use pruneperf_serve::replay::{replay_trace_with, ReplayOptions};
-use pruneperf_serve::{run_loadgen, LoadgenOptions, PlanService, Server, ServerOptions};
+use pruneperf_serve::{
+    replay_trace, run_loadgen, AdmissionConfig, LoadgenOptions, PlanService, Server, ServerOptions,
+};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,10 +193,9 @@ commands:
             verify whole-network dataflow (stock + pruned assemblies,
             greedy pruning plans) and audit simulator schedule traces
   check     [--json] [--deny-warnings] [--root PATH]
-            concurrency, panic-path, hot-path & resource analysis:
-            lock-order cycles, guards held across fan-out, panic sources
-            on the fallible API, per-iteration allocation/locking on the
-            serving/search hot paths, and unbounded growth (CC/PN/PF/RB)
+            concurrency, panic-path & resource analysis: lock-order
+            cycles, guards held across fan-out, panic sources on the
+            fallible API, and unbounded growth or recursion (CC/PN/RB)
   chaos     [--seed S] [--faults RATE] [--jobs N] [--json] [--trace-out PATH]
             deterministic fault-injection drill: transient-fault retries,
             permanent-fault curve gaps, contained worker panics, poisoned
@@ -831,13 +831,12 @@ fn cmd_serve(f: &Flags) -> Result<String, CliError> {
         let trace = std::fs::read_to_string(path)
             .map_err(|e| err(format!("cannot read trace '{path}': {e}")))?;
         let service = PlanService::new(cache_cap);
-        let opts = ReplayOptions {
+        let config = AdmissionConfig {
             workers,
             queue_capacity: queue,
             service_ms,
-            cache_cap,
         };
-        let report = replay_trace_with(&trace, &opts, &service);
+        let report = replay_trace(&trace, &config, &service);
         if let Some(p) = f.get("stats") {
             try_write_file(p, &service.stats_json(), "stats snapshot")?;
         }

@@ -8,8 +8,10 @@
 //! --test serve_replay` after an intentional protocol change.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use pruneperf::cli::run_cli;
+use pruneperf_serve::http::MAX_BODY_BYTES;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -76,4 +78,42 @@ fn the_trace_covers_every_response_kind() {
     assert!(out.contains("malformed request JSON"), "{out}");
     let lines = out.lines().count();
     assert_eq!(lines, 9, "one response per trace line:\n{out}");
+}
+
+#[test]
+fn a_deeply_nested_line_gets_an_error_response_in_place() {
+    // A body of `[` bytes at exactly the HTTP body cap passes the live
+    // daemon's size check, so the JSON parser itself must refuse it. Run
+    // the binary as a child: a stack overflow aborts the whole process.
+    let trace = format!(
+        "{}\n{}\n{}\n",
+        r#"{"arrival_ms":0,"network":"alexnet","device":"tx2","budget":0.8}"#,
+        "[".repeat(MAX_BODY_BYTES),
+        r#"{"arrival_ms":1,"network":"alexnet","device":"nano","budget":0.8}"#,
+    );
+    let path =
+        std::env::temp_dir().join(format!("pruneperf-deep-trace-{}.jsonl", std::process::id()));
+    std::fs::write(&path, trace).expect("write trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_pruneperf"))
+        .args(["serve", "--replay"])
+        .arg(&path)
+        .args(["--jobs", "1"])
+        .output()
+        .expect("spawn pruneperf");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        out.status.success(),
+        "{}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("responses are utf-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(lines[0].contains("\"status\":\"ok\""), "{stdout}");
+    assert!(
+        lines[1].contains("\"status\":\"error\"") && lines[1].contains("malformed request JSON"),
+        "{stdout}"
+    );
+    assert!(lines[2].contains("\"status\":\"ok\""), "{stdout}");
 }
