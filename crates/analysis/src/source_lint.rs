@@ -20,13 +20,13 @@
 //! `float-eq` (SL007). `SL004` has no marker — a crate root either forbids
 //! unsafe code or it does not.
 
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use pruneperf_profiler::sweep;
 
 use crate::diag::{Diagnostic, Report, Severity};
+use crate::model::read_sources;
 use crate::rules;
 
 /// The suppression-marker keys the source-lint rules honor.
@@ -65,72 +65,22 @@ const DOCS_SCOPE: &[&str] = &["crates/gpusim/src/", "crates/backends/src/"];
 /// are treated as crate roots), which is how the lint's own tests seed
 /// violations without planting them in the real tree.
 ///
-/// Files are read up front in path order; scanning fans out over `jobs`
-/// workers with input-ordered reduction, so the report is byte-identical
-/// for any worker count.
+/// Files are read up front in path order (the same walk as the source
+/// model's); scanning fans out over `jobs` workers with input-ordered
+/// reduction, so the report is byte-identical for any worker count.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from walking or reading the tree.
 pub fn lint_sources(root: &Path, jobs: usize) -> io::Result<Report> {
     let workspace = root.join("crates").is_dir();
-    let mut files: Vec<PathBuf> = Vec::new();
-    if workspace {
-        collect_rs(&root.join("src"), &mut files)?;
-        let mut crate_dirs: Vec<PathBuf> = Vec::new();
-        for entry in fs::read_dir(root.join("crates"))? {
-            let p = entry?.path();
-            if p.is_dir() {
-                crate_dirs.push(p);
-            }
-        }
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            collect_rs(&dir.join("src"), &mut files)?;
-        }
-    } else {
-        collect_rs(root, &mut files)?;
-    }
-
-    let mut inputs: Vec<(String, String)> = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        inputs.push((rel, fs::read_to_string(path)?));
-    }
-    inputs.sort_by(|a, b| a.0.cmp(&b.0));
-
+    let inputs = read_sources(root)?;
     let per_file = sweep::ordered_parallel_map(&inputs, jobs, |(rel, content)| {
         scan_file(rel, content, workspace)
     });
     let mut report = Report::new(per_file.into_iter().flatten().collect());
     report.files_scanned = inputs.len();
     Ok(report)
-}
-
-/// Recursively collects `.rs` files (sorted per directory; missing
-/// directories are fine).
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for p in entries {
-        if p.is_dir() {
-            collect_rs(&p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
-    Ok(())
 }
 
 fn in_scope(rel: &str, prefixes: &[&str]) -> bool {

@@ -12,7 +12,7 @@
 //! are deterministic hashes of the workload, so the same spiky-but-stable
 //! pattern reproduces run after run. [`TuningLog::autotune`] adds a
 //! high-quality entry for one workload, modelling an `autotvm` session —
-//! the fix the paper implies (and our ablation bench quantifies).
+//! the fix the paper implies (and the bench crate's ablation tests pin).
 
 use std::collections::HashMap;
 

@@ -23,11 +23,7 @@ use pruneperf_profiler::{sweep, LatencyCache};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        eprintln!(
-            "usage: repro <list | all | summary | id...> [--jobs <n>] [--json <path>] [--csv-dir <dir>]"
-        );
-        eprintln!("ids: {}", all_ids().join(" "));
-        return ExitCode::from(2);
+        return usage();
     }
     if args[0] == "list" {
         for id in all_ids() {
@@ -71,6 +67,11 @@ fn main() -> ExitCode {
         } else {
             ids.push(a);
         }
+    }
+    // Flags alone name no experiment: refuse before anything runs or a
+    // `--json` file is overwritten with an empty list.
+    if ids.is_empty() {
+        return usage();
     }
 
     let jobs = sweep::resolve_jobs(jobs_flag);
@@ -159,6 +160,15 @@ fn main() -> ExitCode {
     }
 
     exit_code(&results)
+}
+
+/// Prints the usage text to stderr; exit code 2.
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: repro <list | all | summary | id...> [--jobs <n>] [--json <path>] [--csv-dir <dir>]"
+    );
+    eprintln!("ids: {}", all_ids().join(" "));
+    ExitCode::from(2)
 }
 
 /// Cache/worker diagnostics go to stderr so stdout stays byte-identical to

@@ -19,4 +19,4 @@ pub mod experiments;
 pub mod micro;
 
 pub use experiments::{all_ids, run, run_many, ExperimentResult, Finding};
-pub use micro::{run_suite, BenchResult, BenchSuite, Metric, WallStats};
+pub use micro::{run_suite, BenchResult, BenchSuite, Metric};

@@ -14,28 +14,21 @@
 //!    the micro network, cold then warm against one cache; the warm-pass
 //!    engine deltas gate at zero.
 //!
-//! Each benchmark reports two kinds of numbers:
-//!
-//! * **deterministic metrics** — counts and *virtual*-time quantities
-//!   from the simulator, plus (since PR 6) the latency cache's
-//!   engine-activity counters, which prove the incremental simulation
-//!   path is doing its job: `engine_runs` counts full cold simulations,
-//!   `chains_assembled` counts layer costs rebuilt from memoized kernel
-//!   costs, and `kernel_memo_hits` counts per-kernel queries answered
-//!   without the engine. These are byte-identical on every machine and at
-//!   every `--jobs` count, so CI diffs them against a checked-in baseline
-//!   (`BENCH_PR10.json`) and fails on any drift;
-//! * **wall-clock stats** — warmup plus median-of-N real time via
-//!   `Instant` (legal here: the bench crate is outside the determinism
-//!   lint scope). These are informational only and never participate in
-//!   regression comparisons; `--no-wall` omits them entirely so rendered
-//!   reports can be compared byte-for-byte across worker counts.
+//! Each benchmark reports **deterministic metrics** only: counts and
+//! *virtual*-time quantities from the simulator, plus the latency cache's
+//! engine-activity counters, which prove the incremental simulation path
+//! is doing its job: `engine_runs` counts full cold simulations,
+//! `chains_assembled` counts layer costs rebuilt from memoized kernel
+//! costs, and `kernel_memo_hits` counts per-kernel queries answered without
+//! the engine. These are byte-identical on every machine and at every
+//! `--jobs` count, so CI diffs them against a checked-in baseline
+//! (`BENCH_PR10.json`) and fails on any drift. Wall time is the
+//! `benchmark/` crate's job, not this suite's.
 //!
 //! Floats render through Rust's shortest-roundtrip `Display`, so string
 //! equality of a rendered metric is bit equality of the underlying `f64`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use pruneperf_backends::{AclGemm, ConvBackend};
 use pruneperf_core::accuracy::AccuracyModel;
@@ -45,10 +38,6 @@ use pruneperf_gpusim::Device;
 use pruneperf_models::{resnet50, ConvLayerSpec};
 use pruneperf_profiler::{EngineStats, LatencyCache, LayerProfiler, NetworkRunner, Stats};
 
-/// Measured wall-clock repetitions per benchmark (after warmup).
-pub const WALL_RUNS: usize = 5;
-/// Untimed warmup repetitions per benchmark.
-pub const WALL_WARMUP: usize = 1;
 /// Schema version of the rendered JSON.
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
@@ -82,63 +71,19 @@ impl Metric {
     }
 }
 
-/// Wall-clock statistics for one benchmark: median of [`WALL_RUNS`]
-/// timed repetitions after [`WALL_WARMUP`] untimed ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WallStats {
-    /// Timed repetitions.
-    pub runs: usize,
-    /// Median elapsed nanoseconds.
-    pub median_ns: u64,
-    /// Fastest repetition, nanoseconds.
-    pub min_ns: u64,
-    /// Slowest repetition, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl WallStats {
-    /// Median elapsed milliseconds.
-    pub fn median_ms(&self) -> f64 {
-        self.median_ns as f64 / 1e6
-    }
-}
-
-/// One benchmark's outcome: its deterministic metrics in a stable order,
-/// plus optional wall-clock stats.
+/// One benchmark's outcome: its deterministic metrics in a stable order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
     /// Stable benchmark identifier.
     pub name: &'static str,
     /// `(metric name, value)` in render order.
     pub metrics: Vec<(&'static str, Metric)>,
-    /// Wall-clock stats; `None` when the suite ran with wall timing off.
-    pub wall: Option<WallStats>,
 }
 
 /// The whole suite's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSuite {
     results: Vec<BenchResult>,
-}
-
-/// Warmup + median-of-N wall timing around a workload.
-fn time_wall(mut workload: impl FnMut()) -> WallStats {
-    for _ in 0..WALL_WARMUP {
-        workload();
-    }
-    let mut samples = [0u64; WALL_RUNS];
-    for slot in &mut samples {
-        let start = Instant::now();
-        workload();
-        *slot = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    }
-    samples.sort_unstable();
-    WallStats {
-        runs: WALL_RUNS,
-        median_ns: samples[WALL_RUNS / 2],
-        min_ns: samples[0],
-        max_ns: samples[WALL_RUNS - 1],
-    }
 }
 
 fn hikey() -> Device {
@@ -161,22 +106,19 @@ fn all_prunings(layer: &ConvLayerSpec) -> Vec<ConvLayerSpec> {
 }
 
 /// Benchmark 1: repeated queries against a warmed latency cache.
-fn bench_cache_hit(wall: bool) -> BenchResult {
+fn bench_cache_hit() -> BenchResult {
     const PASSES: usize = 8;
     let device = hikey();
     let backend = AclGemm::new();
     let configs = all_prunings(&l16());
-    let workload = || {
-        let cache = LatencyCache::new();
-        let mut virtual_ms = 0.0f64;
-        for _ in 0..=PASSES {
-            for config in &configs {
-                virtual_ms += cache.cost(&backend, config, &device).0;
-            }
+    let cache = LatencyCache::new();
+    let mut virtual_ms = 0.0f64;
+    for _ in 0..=PASSES {
+        for config in &configs {
+            virtual_ms += cache.cost(&backend, config, &device).0;
         }
-        (cache.stats(), virtual_ms)
-    };
-    let (stats, virtual_ms) = workload();
+    }
+    let stats = cache.stats();
     BenchResult {
         name: "cache_hit",
         metrics: vec![
@@ -186,11 +128,6 @@ fn bench_cache_hit(wall: bool) -> BenchResult {
             ("entries", Metric::Count(stats.entries as u64)),
             ("virtual_ms", Metric::Float(virtual_ms)),
         ],
-        wall: wall.then(|| {
-            time_wall(|| {
-                workload();
-            })
-        }),
     }
 }
 
@@ -207,44 +144,32 @@ fn push_engine_metrics(metrics: &mut Vec<(&'static str, Metric)>, engine: Engine
 }
 
 /// Benchmark 2: a full channel sweep against an empty cache.
-fn bench_cold_sweep(wall: bool) -> BenchResult {
+fn bench_cold_sweep() -> BenchResult {
     let device = hikey();
     let backend = AclGemm::new();
     let layer = l16();
-    let workload = || {
-        let cache = Arc::new(LatencyCache::new());
-        let curve = LayerProfiler::noiseless(&device)
-            .with_cache(Arc::clone(&cache))
-            .with_stats(Arc::new(Stats::new()))
-            .latency_curve(&backend, &layer, 60..=128);
-        let engine = cache.engine_stats();
-        (curve, engine)
-    };
-    let (curve, engine) = workload();
+    let cache = Arc::new(LatencyCache::new());
+    let curve = LayerProfiler::noiseless(&device)
+        .with_cache(Arc::clone(&cache))
+        .with_stats(Arc::new(Stats::new()))
+        .latency_curve(&backend, &layer, 60..=128);
     let total_ms: f64 = curve.series().iter().map(|&(_, ms)| ms).sum();
     let mut metrics = vec![
         ("points", Metric::Count(curve.points().len() as u64)),
         ("total_virtual_ms", Metric::Float(total_ms)),
     ];
-    push_engine_metrics(&mut metrics, engine);
+    push_engine_metrics(&mut metrics, cache.engine_stats());
     BenchResult {
         name: "cold_sweep",
         metrics,
-        wall: wall.then(|| {
-            time_wall(|| {
-                workload();
-            })
-        }),
     }
 }
 
 /// Benchmark 3: staircase detection over a full-range curve.
-fn bench_staircase_detect(wall: bool) -> BenchResult {
+fn bench_staircase_detect() -> BenchResult {
     let device = hikey();
     let backend = AclGemm::new();
     let layer = l16();
-    // The curve is the fixture, not the workload: build it once outside
-    // the timed region so wall time measures detection alone.
     let curve = LayerProfiler::noiseless(&device)
         .with_cache(Arc::new(LatencyCache::new()))
         .with_stats(Arc::new(Stats::new()))
@@ -266,34 +191,25 @@ fn bench_staircase_detect(wall: bool) -> BenchResult {
             ),
             ("best_ms", Metric::Float(best_ms)),
         ],
-        wall: wall.then(|| {
-            time_wall(|| {
-                Staircase::detect(&curve);
-            })
-        }),
     }
 }
 
 /// Benchmark 4: ACL GEMM dispatch planning across every channel count.
-fn bench_gemm_split_plan(wall: bool) -> BenchResult {
+fn bench_gemm_split_plan() -> BenchResult {
     let device = hikey();
     let backend = AclGemm::new();
     let configs = all_prunings(&l16());
-    let workload = || {
-        let mut jobs = 0u64;
-        let mut split_plans = 0u64;
-        let mut arith = 0u64;
-        for config in &configs {
-            let plan = backend.plan(config, &device);
-            jobs += plan.chain().len() as u64;
-            arith += plan.chain().total_arith();
-            if plan.kernels_named("gemm_mm").count() > 1 {
-                split_plans += 1;
-            }
+    let mut jobs = 0u64;
+    let mut split_plans = 0u64;
+    let mut arith = 0u64;
+    for config in &configs {
+        let plan = backend.plan(config, &device);
+        jobs += plan.chain().len() as u64;
+        arith += plan.chain().total_arith();
+        if plan.kernels_named("gemm_mm").count() > 1 {
+            split_plans += 1;
         }
-        (jobs, split_plans, arith)
-    };
-    let (jobs, split_plans, arith) = workload();
+    }
     BenchResult {
         name: "gemm_split_plan",
         metrics: vec![
@@ -302,11 +218,6 @@ fn bench_gemm_split_plan(wall: bool) -> BenchResult {
             ("split_plans", Metric::Count(split_plans)),
             ("arith_instructions", Metric::Count(arith)),
         ],
-        wall: wall.then(|| {
-            time_wall(|| {
-                workload();
-            })
-        }),
     }
 }
 
@@ -315,32 +226,23 @@ fn bench_gemm_split_plan(wall: bool) -> BenchResult {
 /// Runs against a fresh local cache (not the process-wide one) so the
 /// engine counters are a pure function of this benchmark's work; the
 /// virtual metrics are bitwise-unaffected by where the cache lives.
-fn bench_resnet50_full(wall: bool) -> BenchResult {
+fn bench_resnet50_full() -> BenchResult {
     let device = hikey();
     let backend = AclGemm::new();
     let network = resnet50();
-    let workload = || {
-        let cache = Arc::new(LatencyCache::new());
-        let report = NetworkRunner::new(&device)
-            .with_cache(Arc::clone(&cache))
-            .run(&backend, &network);
-        (report, cache.engine_stats())
-    };
-    let (report, engine) = workload();
+    let cache = Arc::new(LatencyCache::new());
+    let report = NetworkRunner::new(&device)
+        .with_cache(Arc::clone(&cache))
+        .run(&backend, &network);
     let mut metrics = vec![
         ("layers", Metric::Count(report.layers().len() as u64)),
         ("total_virtual_ms", Metric::Float(report.total_ms())),
         ("total_virtual_mj", Metric::Float(report.total_mj())),
     ];
-    push_engine_metrics(&mut metrics, engine);
+    push_engine_metrics(&mut metrics, cache.engine_stats());
     BenchResult {
         name: "resnet50_full",
         metrics,
-        wall: wall.then(|| {
-            time_wall(|| {
-                workload();
-            })
-        }),
     }
 }
 
@@ -353,7 +255,7 @@ fn bench_resnet50_full(wall: bool) -> BenchResult {
 /// across the second pass and gate at exactly zero. The search counters
 /// themselves (candidates evaluated, front size, dominated) are
 /// schedule-free and identical across passes.
-fn bench_search_beam_small(wall: bool) -> BenchResult {
+fn bench_search_beam_small() -> BenchResult {
     let device = hikey();
     let backend = AclGemm::new();
     let network = pruneperf_core::testkit::micro_net();
@@ -363,17 +265,13 @@ fn bench_search_beam_small(wall: bool) -> BenchResult {
         beam_width: 16,
         generations: 12,
     };
-    let workload = || {
-        let cache = Arc::new(LatencyCache::new());
-        let profiler = LayerProfiler::noiseless(&device).with_cache(Arc::clone(&cache));
-        let accuracy = AccuracyModel::for_network(&network);
-        let cold = search(&profiler, &accuracy, &backend, &network, &config);
-        let cold_engine = cache.engine_stats();
-        let warm = search(&profiler, &accuracy, &backend, &network, &config);
-        let warm_engine = cache.engine_stats();
-        (cold, warm, cold_engine, warm_engine)
-    };
-    let (cold, warm, cold_engine, warm_engine) = workload();
+    let cache = Arc::new(LatencyCache::new());
+    let profiler = LayerProfiler::noiseless(&device).with_cache(Arc::clone(&cache));
+    let accuracy = AccuracyModel::for_network(&network);
+    let cold = search(&profiler, &accuracy, &backend, &network, &config);
+    let cold_engine = cache.engine_stats();
+    let warm = search(&profiler, &accuracy, &backend, &network, &config);
+    let warm_engine = cache.engine_stats();
     debug_assert_eq!(cold.evaluated, warm.evaluated);
     let metrics = vec![
         ("candidates", Metric::Count(cold.evaluated)),
@@ -398,25 +296,20 @@ fn bench_search_beam_small(wall: bool) -> BenchResult {
     BenchResult {
         name: "search_beam_small",
         metrics,
-        wall: wall.then(|| {
-            time_wall(|| {
-                workload();
-            })
-        }),
     }
 }
 
-/// Runs the whole suite. With `wall` off the result carries only
-/// deterministic metrics, so two renderings compare byte-for-byte.
-pub fn run_suite(wall: bool) -> BenchSuite {
+/// Runs the whole suite. Every metric is deterministic, so two
+/// renderings compare byte-for-byte.
+pub fn run_suite() -> BenchSuite {
     BenchSuite {
         results: vec![
-            bench_cache_hit(wall),
-            bench_cold_sweep(wall),
-            bench_staircase_detect(wall),
-            bench_gemm_split_plan(wall),
-            bench_resnet50_full(wall),
-            bench_search_beam_small(wall),
+            bench_cache_hit(),
+            bench_cold_sweep(),
+            bench_staircase_detect(),
+            bench_gemm_split_plan(),
+            bench_resnet50_full(),
+            bench_search_beam_small(),
         ],
     }
 }
@@ -444,14 +337,7 @@ impl BenchSuite {
                 }
                 out.push_str(&format!("\"{key}\": {}", value.render()));
             }
-            out.push('}');
-            if let Some(w) = &r.wall {
-                out.push_str(&format!(
-                    ",\n      \"wall\": {{\"runs\": {}, \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                    w.runs, w.median_ns, w.min_ns, w.max_ns
-                ));
-            }
-            out.push_str("\n    }");
+            out.push_str("}\n    }");
             if i + 1 < self.results.len() {
                 out.push(',');
             }
@@ -469,24 +355,13 @@ impl BenchSuite {
             for (key, value) in &r.metrics {
                 out.push_str(&format!("  {key:<20} {}\n", value.render()));
             }
-            if let Some(w) = &r.wall {
-                out.push_str(&format!(
-                    "  {:<20} {:.3} ms (min {:.3}, max {:.3}, {} runs + {} warmup)\n",
-                    "wall median",
-                    w.median_ms(),
-                    w.min_ns as f64 / 1e6,
-                    w.max_ns as f64 / 1e6,
-                    w.runs,
-                    WALL_WARMUP
-                ));
-            }
         }
         out
     }
 
     /// Compares this run's deterministic metrics against a baseline
-    /// rendered by [`BenchSuite::render_json`] (wall stats, if present in
-    /// either, are ignored).
+    /// rendered by [`BenchSuite::render_json`]; keys other than each
+    /// benchmark's `name` and `metrics` are ignored.
     ///
     /// Returns a summary line on success.
     ///
@@ -552,47 +427,6 @@ impl BenchSuite {
             Err(problems)
         }
     }
-
-    /// Informational wall-clock comparison against a baseline rendering.
-    ///
-    /// Returns one line per benchmark where both this run and the baseline
-    /// carry wall stats, or `None` when no benchmark is comparable (e.g.
-    /// either side ran with `--no-wall`). Never part of the `--check`
-    /// gate: wall time is machine- and load-dependent by nature.
-    pub fn wall_delta_against(&self, baseline_json: &str) -> Option<String> {
-        let baseline: serde::Value = serde_json::from_str(baseline_json).ok()?;
-        let benchmarks = baseline.get("benchmarks")?.as_array()?;
-        let mut lines = Vec::new();
-        for r in &self.results {
-            let Some(w) = &r.wall else { continue };
-            let base_ns = benchmarks
-                .iter()
-                .find(|b| b.get("name").and_then(|n| n.as_str()) == Some(r.name))
-                .and_then(|b| b.get("wall"))
-                .and_then(|bw| bw.get("median_ns"))
-                .and_then(|v| v.as_u64());
-            let Some(base_ns) = base_ns else { continue };
-            if base_ns == 0 {
-                continue;
-            }
-            let delta = (w.median_ns as f64 / base_ns as f64 - 1.0) * 100.0;
-            lines.push(format!(
-                "{}: median {:.3} ms vs baseline {:.3} ms ({:+.1}%)",
-                r.name,
-                w.median_ms(),
-                base_ns as f64 / 1e6,
-                delta
-            ));
-        }
-        if lines.is_empty() {
-            None
-        } else {
-            Some(format!(
-                "wall-clock vs baseline (informational, never gating):\n  {}",
-                lines.join("\n  ")
-            ))
-        }
-    }
 }
 
 /// Renders a parsed baseline number back to a display token.
@@ -622,7 +456,7 @@ mod tests {
 
     #[test]
     fn suite_covers_all_six_benchmarks_in_order() {
-        let suite = run_suite(false);
+        let suite = run_suite();
         let names: Vec<&str> = suite.results().iter().map(|r| r.name).collect();
         assert_eq!(
             names,
@@ -635,12 +469,11 @@ mod tests {
                 "search_beam_small"
             ]
         );
-        assert!(suite.results().iter().all(|r| r.wall.is_none()));
     }
 
     #[test]
     fn warm_search_pass_never_touches_the_engine() {
-        let suite = run_suite(false);
+        let suite = run_suite();
         let (Metric::Count(warm_runs), Metric::Count(warm_chains), Metric::Count(cold_runs)) = (
             metric(&suite, "search_beam_small", "warm_engine_runs"),
             metric(&suite, "search_beam_small", "warm_chains_assembled"),
@@ -666,15 +499,15 @@ mod tests {
 
     #[test]
     fn deterministic_metrics_are_identical_across_runs() {
-        let a = run_suite(false);
-        let b = run_suite(false);
+        let a = run_suite();
+        let b = run_suite();
         assert_eq!(a, b);
         assert_eq!(a.render_json(), b.render_json());
     }
 
     #[test]
     fn cache_hit_conserves_lookups() {
-        let suite = run_suite(false);
+        let suite = run_suite();
         let (Metric::Count(lookups), Metric::Count(hits), Metric::Count(misses)) = (
             metric(&suite, "cache_hit", "lookups"),
             metric(&suite, "cache_hit", "hits"),
@@ -687,42 +520,22 @@ mod tests {
     }
 
     #[test]
-    fn json_parses_and_wall_toggle_controls_the_wall_key() {
-        let dry = run_suite(false).render_json();
-        let parsed: serde::Value = serde_json::from_str(&dry).expect("valid JSON");
+    fn json_parses_and_lists_all_six_benchmarks() {
+        let json = run_suite().render_json();
+        let parsed: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         let benchmarks = parsed
             .get("benchmarks")
             .and_then(|b| b.as_array())
             .expect("benchmarks array");
         assert_eq!(benchmarks.len(), 6);
-        assert!(benchmarks.iter().all(|b| b.get("wall").is_none()));
-        assert!(!dry.contains("median_ns"));
-
-        let timed = run_suite(true).render_json();
-        let parsed: serde::Value = serde_json::from_str(&timed).expect("valid JSON");
-        let benchmarks = parsed
-            .get("benchmarks")
-            .and_then(|b| b.as_array())
-            .expect("benchmarks array");
-        assert!(benchmarks.iter().all(|b| b
-            .get("wall")
-            .and_then(|w| w.get("median_ns"))
-            .and_then(|v| v.as_u64())
-            .is_some()));
     }
 
     #[test]
     fn check_against_accepts_own_rendering_and_flags_drift() {
-        let suite = run_suite(false);
+        let suite = run_suite();
         let baseline = suite.render_json();
         let summary = suite.check_against(&baseline).expect("self-check passes");
         assert!(summary.contains("match the baseline"), "{summary}");
-
-        // Wall stats in the baseline are ignored.
-        let timed = run_suite(true);
-        timed
-            .check_against(&baseline)
-            .expect("wall stats do not affect the check");
 
         // A drifted count is reported as a regression.
         let drifted = baseline.replace("\"plans\": 128", "\"plans\": 127");
@@ -757,7 +570,7 @@ mod tests {
         // engine chain per point/layer; the incremental path must cut
         // that by at least 5× (here: to zero — every cost is assembled
         // from memoized kernel costs).
-        let suite = run_suite(false);
+        let suite = run_suite();
         for bench in ["cold_sweep", "resnet50_full"] {
             let (Metric::Count(assembled), Metric::Count(runs)) = (
                 metric(&suite, bench, "chains_assembled"),
@@ -781,30 +594,5 @@ mod tests {
             assert_eq!(lookups, evals + hits);
             assert!(hits > 0, "{bench}: the kernel memo was never reused");
         }
-    }
-
-    #[test]
-    fn wall_delta_is_informational_and_tolerant() {
-        let timed = run_suite(true);
-        let baseline = timed.render_json();
-        let delta = timed
-            .wall_delta_against(&baseline)
-            .expect("both sides carry wall stats");
-        assert!(delta.contains("informational"));
-        assert!(delta.contains("cold_sweep"));
-        // A wall-less side yields no delta rather than an error.
-        let dry = run_suite(false);
-        assert!(dry.wall_delta_against(&baseline).is_none());
-        assert!(timed.wall_delta_against(&dry.render_json()).is_none());
-        assert!(timed.wall_delta_against("not json").is_none());
-    }
-
-    #[test]
-    fn wall_stats_are_ordered() {
-        let w = time_wall(|| {
-            std::hint::black_box(resnet50().total_macs());
-        });
-        assert_eq!(w.runs, WALL_RUNS);
-        assert!(w.min_ns <= w.median_ns && w.median_ns <= w.max_ns);
     }
 }

@@ -301,8 +301,9 @@ impl Device {
     }
 
     /// Ablation helper: a copy of the device with job dispatch and sync
-    /// overheads removed (used by the `ablation_job_overhead` bench to show
-    /// the ACL GEMM slow staircase is caused by the extra job, §IV-B1).
+    /// overheads removed (the job-overhead test in the bench crate's
+    /// `tests/ablations.rs` uses it to size the extra job's share of the
+    /// ACL GEMM split penalty, §IV-B1).
     pub fn without_job_overhead(&self) -> Device {
         let mut d = self.clone();
         d.job_dispatch_us = 0.0;

@@ -4,7 +4,7 @@
 //! same query: "what does layer L cost on device D under backend B?" The
 //! paper's methodology makes that query *heavily* redundant — a staircase
 //! sweeps 1..=1024 channel counts per layer, the pruner's search revisits
-//! the same candidate counts layer after layer, and the 32 repro
+//! the same candidate counts layer after layer, and the 33 repro
 //! experiments overlap on the stock configurations. [`LatencyCache`]
 //! memoizes the deterministic simulator run behind
 //! [`ConvBackend::cost`], keyed by (backend fingerprint, device, layer

@@ -1,6 +1,6 @@
 //! Worker-thread fan-out for embarrassingly parallel sweeps.
 //!
-//! The repo's workloads — channel staircases, speedup heatmaps, the 32
+//! The repo's workloads — channel staircases, speedup heatmaps, the 33
 //! repro experiments — are pure functions of their inputs, so they
 //! parallelize by index: fan the items out to a worker pool, collect each
 //! result into its input's slot, and the output order (and therefore every

@@ -32,6 +32,9 @@ for seed in 1 2 3; do
   cargo run --release -q -- chaos --seed "$seed" --jobs 1 > "/tmp/pruneperf-chaos-$seed-seq.txt"
   cargo run --release -q -- chaos --seed "$seed" --jobs 8 > "/tmp/pruneperf-chaos-$seed-par.txt"
   cmp "/tmp/pruneperf-chaos-$seed-seq.txt" "/tmp/pruneperf-chaos-$seed-par.txt"
+  cargo run --release -q -- chaos --seed "$seed" --json --jobs 1 > "/tmp/pruneperf-chaos-$seed-seq.json"
+  cargo run --release -q -- chaos --seed "$seed" --json --jobs 8 > "/tmp/pruneperf-chaos-$seed-par.json"
+  cmp "/tmp/pruneperf-chaos-$seed-seq.json" "/tmp/pruneperf-chaos-$seed-par.json"
 done
 cargo run --release -q -- chaos --seed 4 --faults 0.5 > /dev/null
 
@@ -54,10 +57,11 @@ cmp /tmp/pruneperf-search-cold.json /tmp/pruneperf-search-resumed.json
 cmp /tmp/pruneperf-search-cache-cold.txt /tmp/pruneperf-search-cache.txt
 
 echo "== micro-benchmarks (regression gate + determinism) =="
-cargo run --release -q -- bench --no-wall --check BENCH_PR10.json
-cargo run --release -q -- bench --json --no-wall --jobs 1 > /tmp/pruneperf-bench-seq.json
-cargo run --release -q -- bench --json --no-wall --jobs 8 > /tmp/pruneperf-bench-par.json
+cargo run --release -q -- bench --check BENCH_PR10.json
+cargo run --release -q -- bench --json --jobs 1 > /tmp/pruneperf-bench-seq.json
+cargo run --release -q -- bench --json --jobs 8 > /tmp/pruneperf-bench-par.json
 cmp /tmp/pruneperf-bench-seq.json /tmp/pruneperf-bench-par.json
+cmp /tmp/pruneperf-bench-seq.json BENCH_PR10.json
 
 echo "== chrome-trace export (byte-identical across worker counts) =="
 cargo run --release -q -- chaos --seed 1 --jobs 1 --trace-out /tmp/pruneperf-trace-seq.json > /dev/null
@@ -75,10 +79,15 @@ cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 1 > /tmp/prunep
 cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 8 > /tmp/pruneperf-loadgen-par.txt
 cmp /tmp/pruneperf-loadgen-seq.txt /tmp/pruneperf-loadgen-par.txt
 
-echo "== benches (compile + smoke) =="
-cargo bench -p pruneperf-bench -- --test
-
-echo "== paper experiments (and artifact freshness) =="
+echo "== paper experiments (parallel == sequential, and artifact freshness) =="
+# stdout echoes the --json path, so both runs must name the same file
+cargo run --release -q -p pruneperf-bench --bin repro -- all --jobs 1 \
+  --json /tmp/pruneperf-repro.json > /tmp/pruneperf-repro-seq.txt
+cp /tmp/pruneperf-repro.json /tmp/pruneperf-repro-seq.json
+cargo run --release -q -p pruneperf-bench --bin repro -- all --jobs 8 \
+  --json /tmp/pruneperf-repro.json > /tmp/pruneperf-repro-par.txt
+cmp /tmp/pruneperf-repro-seq.txt /tmp/pruneperf-repro-par.txt
+cmp /tmp/pruneperf-repro-seq.json /tmp/pruneperf-repro.json
 cargo run --release -p pruneperf-bench --bin repro -- all --json repro_results.json > repro_output.txt
 git diff --exit-code -- repro_output.txt repro_results.json
 

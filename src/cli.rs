@@ -71,7 +71,7 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ("chaos", "seed= faults= json trace-out=", cmd_chaos),
     ("search", "network= backend= device= algo= beam-width= generations= seed= json out= \
                 cache-cap= persist=", cmd_search),
-    ("bench", "json no-wall out= check=", cmd_bench),
+    ("bench", "json out= check=", cmd_bench),
     ("serve", "addr= workers= queue= cache-cap= max-requests= replay= service-ms= stats= \
                trace-out=", cmd_serve),
     ("loadgen", "seed= requests= workers= queue= service-ms= cache-cap=", cmd_loadgen),
@@ -210,10 +210,11 @@ commands:
             reported. --persist reloads/saves the latency cache so a
             resumed search answers from the table; output is byte-stable
             across --jobs and resume
-  bench     [--json] [--no-wall] [--out PATH] [--check BASELINE]
-            fixed micro-benchmark suite; deterministic virtual metrics are
-            regression-diffed against a checked-in baseline (BENCH_PR10.json)
-            with --check, wall-clock medians ride along unless --no-wall
+  bench     [--json] [--out PATH] [--check BASELINE]
+            fixed micro-benchmark suite of deterministic virtual metrics,
+            byte-identical at any --jobs; --check diffs them against a
+            checked-in baseline (BENCH_PR10.json), --out writes the JSON
+            report once any check has passed
   serve     [--addr A] [--workers N] [--queue N] [--cache-cap N]
             [--max-requests N] [--replay PATH] [--service-ms F]
             [--stats PATH] [--trace-out PATH]
@@ -526,38 +527,39 @@ fn cmd_chaos(f: &Flags) -> Result<String, CliError> {
     }
 }
 
+/// `pruneperf bench`. The baseline is checked before `--out` writes
+/// anything, so `--out F --check F` gates on F's old contents and a failed
+/// check leaves F as it was.
 fn cmd_bench(f: &Flags) -> Result<String, CliError> {
-    let json = f.has("json");
-    let suite = pruneperf_bench::run_suite(!f.has("no-wall"));
-    if let Some(path) = f.get("out") {
-        try_write_file(path, &suite.render_json(), "benchmark report")?;
-    }
-    let mut rendered = if json {
-        suite.render_json()
-    } else {
-        suite.render_human()
-    };
-    if let Some(path) = f.get("check") {
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| err(format!("cannot read baseline '{path}': {e}")))?;
-        match suite.check_against(&baseline) {
-            Ok(summary) => {
-                if !json {
-                    rendered.push_str(&format!("\n{summary}\n"));
-                    // Wall-clock drift is worth a glance but never gates:
-                    // it only renders when both sides carry wall stats.
-                    if let Some(delta) = suite.wall_delta_against(&baseline) {
-                        rendered.push_str(&format!("{delta}\n"));
-                    }
-                }
-            }
-            Err(problems) => {
-                return Err(CliError(format!(
+    let baseline = f
+        .get("check")
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map(|text| (path, text))
+                .map_err(|e| err(format!("cannot read baseline '{path}': {e}")))
+        })
+        .transpose()?;
+    let suite = pruneperf_bench::run_suite();
+    let summary = baseline
+        .map(|(path, text)| {
+            suite.check_against(&text).map_err(|problems| {
+                err(format!(
                     "bench check against '{path}' FAILED:\n  {}",
                     problems.join("\n  ")
-                )));
-            }
-        }
+                ))
+            })
+        })
+        .transpose()?;
+    let json = suite.render_json();
+    if let Some(path) = f.get("out") {
+        try_write_file(path, &json, "benchmark report")?;
+    }
+    if f.has("json") {
+        return Ok(json);
+    }
+    let mut rendered = suite.render_human();
+    if let Some(summary) = summary {
+        rendered.push_str(&format!("\n{summary}\n"));
     }
     Ok(rendered)
 }
@@ -1104,35 +1106,36 @@ mod tests {
 
     #[test]
     fn bench_json_is_deterministic_across_jobs_without_wall() {
-        let one = run(&["bench", "--json", "--no-wall", "--jobs", "1"]).unwrap();
-        let eight = run(&["bench", "--json", "--no-wall", "--jobs", "8"]).unwrap();
+        let one = run(&["bench", "--json", "--jobs", "1"]).unwrap();
+        let eight = run(&["bench", "--json", "--jobs", "8"]).unwrap();
         assert_eq!(one, eight);
-        assert!(one.contains("\"suite\": \"pruneperf bench\""), "{one}");
-        for name in [
-            "cache_hit",
-            "cold_sweep",
-            "staircase_detect",
-            "gemm_split_plan",
-            "resnet50_full",
-        ] {
-            assert!(one.contains(name), "{one}");
-        }
-        assert!(!one.contains("median_ns"), "{one}");
+        assert_eq!(one, include_str!("../BENCH_PR10.json"));
     }
 
     #[test]
     fn bench_out_and_check_round_trip() {
         let path = scratch("bench-baseline.json");
-        let out = run(&["bench", "--no-wall", "--out", &path]).unwrap();
+        let out = run(&["bench", "--out", &path]).unwrap();
         assert!(out.contains("[cache_hit]"), "{out}");
-        let checked = run(&["bench", "--no-wall", "--check", &path]).unwrap();
+        let checked = run(&["bench", "--check", &path]).unwrap();
         assert!(checked.contains("match the baseline"), "{checked}");
 
         let baseline = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, baseline.replace("\"plans\": ", "\"plans\": 9")).unwrap();
-        let failure = run(&["bench", "--no-wall", "--check", &path]).unwrap_err();
+        let drifted = baseline.replace("\"plans\": 128", "\"plans\": 127");
+        assert_ne!(drifted, baseline, "fixture must actually change");
+        std::fs::write(&path, &drifted).unwrap();
+        let failure = run(&["bench", "--check", &path]).unwrap_err();
         assert!(failure.0.contains("FAILED"), "{failure}");
         assert!(failure.0.contains("gemm_split_plan.plans"), "{failure}");
+
+        // The same path as --out and --check: the check reads the old
+        // baseline, not this run's report, and a failure leaves it alone.
+        let failure = run(&["bench", "--out", &path, "--check", &path]).unwrap_err();
+        assert!(failure.0.contains("gemm_split_plan.plans"), "{failure}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), drifted);
+        std::fs::write(&path, &baseline).unwrap();
+        run(&["bench", "--out", &path, "--check", &path]).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), baseline);
         std::fs::remove_file(&path).ok();
 
         assert!(run(&["bench", "--check", "/nonexistent/baseline.json"])

@@ -133,8 +133,7 @@ fn check_json_schema_matches_golden() {
 
 #[test]
 fn bench_json_schema_matches_golden() {
-    // With wall stats: pins the full schema including the wall object
-    // (whose values are machine-dependent and therefore schema-only).
+    // Six benchmarks, each a name and its deterministic metrics.
     let json = cli(&["bench", "--json"]);
     check_golden("bench.schema.txt", &schema_of(&json));
 }
