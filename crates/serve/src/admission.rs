@@ -3,9 +3,8 @@
 //! The live server's backpressure story must also hold in replay mode,
 //! where there is no wall clock and no real queue — so both are driven
 //! by the same *model*: each worker serves its queue FIFO at a fixed
-//! virtual service time, a request hashes to a worker by device name
-//! (shard affinity: requests for one device land where that device's
-//! cache shards are warm), and a request arriving while its worker's
+//! virtual service time, a request goes to its board's worker
+//! ([`worker_for_device`]), and a request arriving while its worker's
 //! backlog is at capacity is shed with an explicit 429-style response —
 //! never buffered without bound.
 //!
@@ -16,12 +15,12 @@
 //! computations. That split is what keeps replay output byte-identical
 //! at any `--jobs`.
 
-use pruneperf_backends::hash::fnv1a;
+use crate::catalog;
 
 /// The admission model's parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
-    /// Simulated worker count (device digests map onto these).
+    /// Simulated worker count (boards map onto these).
     pub workers: usize,
     /// Maximum backlog (queued + in service) per worker beyond the
     /// request being admitted; arrivals past this are shed.
@@ -43,7 +42,7 @@ impl Default for AdmissionConfig {
 /// The model's verdict on one request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionOutcome {
-    /// Worker the request hashed to.
+    /// Worker the request was routed to.
     pub worker: usize,
     /// `true` when the request was admitted (not shed).
     pub admitted: bool,
@@ -66,12 +65,13 @@ impl AdmissionOutcome {
     }
 }
 
-/// The worker a device's requests are pinned to: same digest family as
-/// the latency cache's shard split, so one device's plans queue behind
-/// each other (and in the live server, behind a warm per-device cache
-/// working set) instead of scattering.
+/// The worker a board's requests go to: the board's position in the
+/// device catalog (aliases resolved) modulo `workers`, so the four
+/// boards split 2/2 over two workers and get one each over four. A name
+/// outside the catalog goes to worker 0; the planner refuses it without
+/// planning.
 pub fn worker_for_device(device: &str, workers: usize) -> usize {
-    (fnv1a(device.as_bytes()) % workers.max(1) as u64) as usize
+    catalog::device_index(device).map_or(0, |ix| ix % workers.max(1))
 }
 
 /// Runs the model over `(arrival_ms, device)` pairs in stream order.
@@ -163,6 +163,46 @@ mod tests {
         let reqs = [(0.0, "tx2"), (0.0, "tx2")];
         let out = simulate(&reqs, &cfg(4, 0, 5.0));
         assert_eq!(out[0].worker, out[1].worker);
+    }
+
+    const BOARDS: [&str; 4] = ["hikey970", "odroidxu4", "tx2", "nano"];
+
+    #[test]
+    fn two_workers_split_the_boards_evenly() {
+        let mut per_worker = [0; 2];
+        for board in BOARDS {
+            per_worker[worker_for_device(board, 2)] += 1;
+        }
+        assert_eq!(per_worker, [2, 2]);
+    }
+
+    #[test]
+    fn four_workers_give_each_board_its_own() {
+        let mut workers = BOARDS.map(|board| worker_for_device(board, 4));
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn aliases_route_with_their_boards() {
+        for workers in 1..=4 {
+            assert_eq!(
+                worker_for_device("g72", workers),
+                worker_for_device("hikey970", workers)
+            );
+            assert_eq!(
+                worker_for_device("t628", workers),
+                worker_for_device("odroidxu4", workers)
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_names_route_to_worker_zero() {
+        for workers in 1..=4 {
+            assert_eq!(worker_for_device("rtx4090", workers), 0);
+            assert_eq!(worker_for_device("", workers), 0);
+        }
     }
 
     #[test]

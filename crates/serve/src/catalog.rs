@@ -8,14 +8,32 @@ use pruneperf_backends::{AclAuto, AclDirect, AclDirectTuned, AclGemm, ConvBacken
 use pruneperf_gpusim::Device;
 use pruneperf_models::{alexnet, mobilenet_v1, resnet50, vgg16, Network};
 
+/// A catalog entry: a short name and the constructor it resolves to.
+pub type Entry<T> = (&'static str, fn() -> T);
+
+/// The boards by CLI short name, in catalog order. A board's position
+/// here is its routing slot ([`crate::admission::worker_for_device`]).
+const DEVICES: [Entry<Device>; 4] = [
+    ("hikey970", Device::mali_g72_hikey970),
+    ("odroidxu4", Device::mali_t628_odroidxu4),
+    ("tx2", Device::jetson_tx2),
+    ("nano", Device::jetson_nano),
+];
+
 /// The CLI short names, paired with their devices.
 pub fn named_devices() -> [(&'static str, Device); 4] {
-    [
-        ("hikey970", Device::mali_g72_hikey970()),
-        ("odroidxu4", Device::mali_t628_odroidxu4()),
-        ("tx2", Device::jetson_tx2()),
-        ("nano", Device::jetson_nano()),
-    ]
+    DEVICES.map(|(short, build)| (short, build()))
+}
+
+/// A device short name's position in the catalog, resolving the
+/// paper's GPU aliases (`g72`, `t628`); `None` for an unknown name.
+pub(crate) fn device_index(name: &str) -> Option<usize> {
+    let resolved = match name {
+        "g72" => "hikey970",
+        "t628" => "odroidxu4",
+        other => other,
+    };
+    DEVICES.iter().position(|(short, _)| *short == resolved)
 }
 
 /// Resolves a device short name (with the paper's GPU aliases).
@@ -24,18 +42,11 @@ pub fn named_devices() -> [(&'static str, Device); 4] {
 ///
 /// Returns a user-facing message listing the known names.
 pub fn device_by_name(name: &str) -> Result<Device, String> {
-    let resolved = match name {
-        "g72" => "hikey970",
-        "t628" => "odroidxu4",
-        other => other,
-    };
-    named_devices()
-        .into_iter()
-        .find(|(short, _)| *short == resolved)
-        .map(|(_, d)| d)
-        .ok_or_else(|| {
-            format!("unknown device '{name}' (expected hikey970 | odroidxu4 | tx2 | nano)")
-        })
+    let ix = device_index(name).ok_or_else(|| {
+        format!("unknown device '{name}' (expected hikey970 | odroidxu4 | tx2 | nano)")
+    })?;
+    let (_, build) = DEVICES[ix];
+    Ok(build())
 }
 
 /// Resolves a backend short name.
@@ -57,21 +68,38 @@ pub fn backend_by_name(name: &str) -> Result<Box<dyn ConvBackend>, String> {
     }
 }
 
+/// The networks by wire/CLI short name, in `pruneperf networks` order.
+/// A network's position here is its slot in the planner's prepared
+/// state.
+pub const NETWORKS: [Entry<Network>; 4] = [
+    ("resnet50", resnet50),
+    ("vgg16", vgg16),
+    ("alexnet", alexnet),
+    ("mobilenetv1", mobilenet_v1),
+];
+
+/// A network short name's position in [`NETWORKS`].
+///
+/// # Errors
+///
+/// Returns a user-facing message listing the known names.
+pub(crate) fn network_index(name: &str) -> Result<usize, String> {
+    NETWORKS
+        .iter()
+        .position(|(short, _)| *short == name)
+        .ok_or_else(|| {
+            format!("unknown network '{name}' (expected resnet50 | vgg16 | alexnet | mobilenetv1)")
+        })
+}
+
 /// Resolves a network short name.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message listing the known names.
 pub fn network_by_name(name: &str) -> Result<Network, String> {
-    match name {
-        "resnet50" => Ok(resnet50()),
-        "vgg16" => Ok(vgg16()),
-        "alexnet" => Ok(alexnet()),
-        "mobilenetv1" => Ok(mobilenet_v1()),
-        other => Err(format!(
-            "unknown network '{other}' (expected resnet50 | vgg16 | alexnet | mobilenetv1)"
-        )),
-    }
+    let (_, build) = NETWORKS[network_index(name)?];
+    Ok(build())
 }
 
 #[cfg(test)]

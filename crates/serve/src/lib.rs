@@ -10,7 +10,7 @@
 //! - [`server`] — a live `pruneperf serve` daemon: line-delimited JSON
 //!   over HTTP/1.1 on [`std::net::TcpListener`] plus a hand-rolled
 //!   thread pool (the offline build bakes in no async runtime).
-//!   Per-device shard affinity assigns requests to workers, bounded
+//!   Each board's requests go to one worker, bounded
 //!   per-worker queues shed excess load with explicit 429 responses, and
 //!   the PR-4 fallible path degrades faulty plans instead of dropping
 //!   connections.
@@ -29,8 +29,9 @@
 //! All three share one [`planner::PlanService`]: a bounded
 //! [`pruneperf_profiler::LatencyCache`] (see
 //! `LatencyCache::set_max_entries_per_shard` — a long-running process
-//! must not grow without bound) and a
-//! [`pruneperf_profiler::Stats`] registry for the `--stats` side channel.
+//! must not grow without bound), a
+//! [`pruneperf_profiler::Stats`] registry for the `--stats` side channel,
+//! and each catalog network's accuracy model, built once on first use.
 
 #![forbid(unsafe_code)]
 

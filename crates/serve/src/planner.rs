@@ -3,18 +3,21 @@
 //! One [`PlanService`] lives for the whole daemon (or replay run): it
 //! owns the shared [`LatencyCache`] — **bounded**, because a
 //! long-running process must not grow its memo tables without limit —
-//! and the [`Stats`] registry the `--stats` side channel snapshots.
+//! the [`Stats`] registry the `--stats` side channel snapshots, and one
+//! prepared network and [`AccuracyModel`] per catalog network, built on
+//! the first request for it and read by every later one.
 //! Request handling is pure with respect to that shared state's
 //! *responses*: the cache only short-circuits bit-identical
-//! recomputations and the response body carries no cache counters, so
-//! the bytes a request produces do not depend on which requests ran
-//! before it. That is the property replay mode's `--jobs` invariance
-//! rests on.
+//! recomputations, a prepared model equals a fresh build, and the
+//! response body carries no cache counters, so the bytes a request
+//! produces do not depend on which requests ran before it. That is the
+//! property replay mode's `--jobs` invariance rests on.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pruneperf_core::accuracy::AccuracyModel;
 use pruneperf_core::PerfAwarePruner;
+use pruneperf_models::Network;
 use pruneperf_profiler::{
     FaultPlan, FaultyBackend, LatencyCache, LayerProfiler, NetworkRunner, Stats,
 };
@@ -26,6 +29,8 @@ use crate::protocol::{FailedLayerInfo, PlanBody, PlanRequest, PlanResponse, Requ
 pub struct PlanService {
     cache: Arc<LatencyCache>,
     stats: Arc<Stats>,
+    /// One slot per entry of [`catalog::NETWORKS`], filled on first use.
+    prepared: [OnceLock<(Network, AccuracyModel)>; catalog::NETWORKS.len()],
 }
 
 impl PlanService {
@@ -44,6 +49,7 @@ impl PlanService {
         PlanService {
             cache,
             stats: Arc::new(Stats::new()),
+            prepared: Default::default(),
         }
     }
 
@@ -63,6 +69,23 @@ impl PlanService {
         self.stats.snapshot_with_cache(&self.cache).render_json()
     }
 
+    /// The named catalog network and its accuracy model, built on the
+    /// first call for that network and shared by every later one.
+    /// Concurrent first calls build it once; the others wait for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`catalog::network_by_name`]'s message for an unknown name.
+    pub(crate) fn prepared(&self, network: &str) -> Result<&(Network, AccuracyModel), String> {
+        let ix = catalog::network_index(network)?;
+        Ok(self.prepared[ix].get_or_init(|| {
+            let (_, build) = catalog::NETWORKS[ix];
+            let network = build();
+            let accuracy = AccuracyModel::for_network(&network);
+            (network, accuracy)
+        }))
+    }
+
     /// Computes the response for one admitted request.
     ///
     /// Unknown names and out-of-range budgets become
@@ -78,8 +101,8 @@ impl PlanService {
             Ok(b) => b,
             Err(e) => return PlanResponse::Error(e),
         };
-        let network = match catalog::network_by_name(&req.network) {
-            Ok(n) => n,
+        let (network, accuracy) = match self.prepared(&req.network) {
+            Ok(prepared) => prepared,
             Err(e) => return PlanResponse::Error(e),
         };
         // The pruner asserts on the budget; turn that into a 400 here.
@@ -90,11 +113,10 @@ impl PlanService {
         let profiler = LayerProfiler::noiseless(&device)
             .with_cache(Arc::clone(&self.cache))
             .with_stats(Arc::clone(&self.stats));
-        let accuracy = AccuracyModel::for_network(&network);
-        let pruner = PerfAwarePruner::new(&profiler, &accuracy);
+        let pruner = PerfAwarePruner::new(&profiler, accuracy);
         let plan = match req.objective {
-            RequestObjective::Latency => pruner.prune_to_latency(&backend, &network, req.budget),
-            RequestObjective::Energy => pruner.prune_to_energy(&backend, &network, req.budget),
+            RequestObjective::Latency => pruner.prune_to_latency(&backend, network, req.budget),
+            RequestObjective::Energy => pruner.prune_to_energy(&backend, network, req.budget),
         };
 
         // Verification pass: run the pruned network end to end through
@@ -219,15 +241,42 @@ mod tests {
     }
 
     #[test]
+    fn each_prepared_slot_equals_a_fresh_build() {
+        let service = PlanService::new(0);
+        for (name, _) in catalog::NETWORKS {
+            let fresh = catalog::network_by_name(name).unwrap();
+            let prepared = service.prepared(name).unwrap();
+            assert_eq!(prepared.0, fresh, "{name}");
+            assert_eq!(prepared.1, AccuracyModel::for_network(&fresh), "{name}");
+            assert!(
+                std::ptr::eq(prepared, service.prepared(name).unwrap()),
+                "{name}: later calls read the same slot"
+            );
+        }
+        assert_eq!(
+            service.prepared("lenet").unwrap_err(),
+            catalog::network_by_name("lenet").unwrap_err()
+        );
+    }
+
+    #[test]
     fn responses_are_independent_of_request_history() {
-        let fresh = PlanService::new(0);
         let warmed = PlanService::new(0);
-        let warmup = req(r#"{"network":"mobilenetv1","device":"nano","budget":0.6}"#);
-        warmed.handle(&warmup);
-        let r = req(r#"{"network":"alexnet","device":"tx2","budget":0.8}"#);
-        let a = fresh.handle(&r).render(0, false);
-        let b = warmed.handle(&r).render(0, false);
-        assert_eq!(a, b, "cache warmth must not change response bytes");
+        for (network, _) in catalog::NETWORKS {
+            warmed.handle(&req(&format!(
+                r#"{{"network":"{network}","device":"nano","budget":0.6}}"#
+            )));
+        }
+        for (network, _) in catalog::NETWORKS {
+            let r = req(&format!(
+                r#"{{"network":"{network}","device":"tx2","budget":0.8}}"#
+            ));
+            assert_eq!(
+                PlanService::new(0).handle(&r).render(0, false),
+                warmed.handle(&r).render(0, false),
+                "{network}: cache warmth and prepared state must not change response bytes"
+            );
+        }
     }
 
     #[test]

@@ -210,7 +210,7 @@ pub enum PlanResponse {
     /// Admission control shed the request: the target worker's queue was
     /// full at arrival (the HTTP layer maps this to 429).
     Shed {
-        /// Worker the request hashed to (device shard affinity).
+        /// Worker the request was routed to (its board's worker).
         worker: usize,
         /// Queue depth observed at arrival.
         depth: usize,

@@ -4,15 +4,18 @@
 //! offline build has no async runtime, and the planner is CPU-bound
 //! anyway, so one OS thread per simulated worker is the honest model.
 //! The accept thread parses each connection's single request, picks the
-//! worker by device-name hash ([`crate::admission::worker_for_device`] —
-//! the same shard affinity the replay model simulates, so one device's
-//! requests queue behind a warm cache working set), and hands the
-//! connection to that worker's **bounded** queue. A full queue sheds the
+//! worker by board ([`crate::admission::worker_for_device`], the same
+//! rule the replay model simulates), and hands the connection to that
+//! worker's **bounded** queue. Every worker shares one
+//! [`pruneperf_profiler::LatencyCache`]. A full queue sheds the
 //! request on the accept thread with an explicit 429 — admission
 //! control, not silent buffering. Queues are `Mutex<VecDeque>` +
 //! `Condvar`, not channels: the bound is load-bearing and a sender never
 //! blocks on it.
 //!
+//! Every accepted socket reads and writes under a fixed 2 s timeout, so
+//! a peer that connects and sends nothing costs the accept thread that
+//! long and gets a 400, instead of stalling every later connection.
 //! Everything past the accept loop is log-and-drop: a peer that
 //! vanishes mid-write surfaces as an `Err` from
 //! [`crate::http::try_respond`] and costs one response, never a worker
@@ -24,18 +27,22 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
+use std::time::Duration;
 
 use crate::admission::worker_for_device;
 use crate::http;
 use crate::planner::PlanService;
 use crate::protocol::{PlanRequest, PlanResponse};
 
+/// How long an accepted socket may block one read or one write.
+const PEER_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerOptions {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads (device shard affinity maps onto these).
+    /// Worker threads; each board's requests go to one of them.
     pub workers: usize,
     /// Per-worker queue bound; arrivals past it are shed with 429.
     pub queue_capacity: usize,
@@ -250,7 +257,7 @@ impl Server {
 
 /// Parses one connection's request on the accept thread and routes it:
 /// side-channel and error paths are answered inline, plan requests are
-/// admitted to their device's worker or shed with 429.
+/// admitted to their board's worker or shed with 429.
 fn dispatch(
     stream: TcpStream,
     id: usize,
@@ -260,7 +267,7 @@ fn dispatch(
     refused: &AtomicU64,
 ) {
     let mut reader = BufReader::new(&stream);
-    let request = match http::read_request(&mut reader) {
+    let request = match set_peer_timeouts(&stream).and_then(|()| http::read_request(&mut reader)) {
         Ok(r) => r,
         Err(e) => {
             refused.fetch_add(1, Ordering::Relaxed);
@@ -314,6 +321,14 @@ fn dispatch(
     }
 }
 
+/// Bounds every later read and write on `stream` by [`PEER_TIMEOUT`].
+fn set_peer_timeouts(stream: &TcpStream) -> Result<(), String> {
+    stream
+        .set_read_timeout(Some(PEER_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(PEER_TIMEOUT)))
+        .map_err(|e| format!("failed to set socket timeouts: {e}"))
+}
+
 /// One worker: pop, plan, answer, until [`Job::Stop`].
 fn worker_loop(service: &PlanService, queue: &WorkerQueue) {
     loop {
@@ -337,7 +352,9 @@ fn worker_loop(service: &PlanService, queue: &WorkerQueue) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::NETWORKS;
     use std::io::{Read, Write};
+    use std::sync::{mpsc, Barrier};
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -390,6 +407,110 @@ mod tests {
         assert_eq!(summary.accepted, 4);
         assert_eq!(summary.refused, 2);
         assert_eq!(summary.shed, 0);
+    }
+
+    /// The `"id"` a rendered response carries.
+    fn response_id(body: &str) -> usize {
+        let digits: String = body
+            .split_once("\"id\":")
+            .map(|(_, rest)| rest.chars().take_while(char::is_ascii_digit).collect())
+            .unwrap_or_default();
+        digits.parse().unwrap()
+    }
+
+    #[test]
+    fn a_silent_peer_does_not_stall_later_requests() {
+        let server = Server::bind(ServerOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            max_requests: Some(2),
+            ..ServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = thread::spawn(move || server.run().unwrap());
+
+        // Connected first, so accepted first; it never sends a byte.
+        let mut silent = TcpStream::connect(addr).unwrap();
+        let (tx, rx) = mpsc::sync_channel(1);
+        let client = thread::spawn(move || {
+            let body = r#"{"network":"alexnet","device":"tx2","budget":0.8}"#;
+            let _ = tx.send(roundtrip(addr, &post(body)));
+        });
+        let ok = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a silent peer stalled every later connection");
+        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+
+        let mut refusal = String::new();
+        silent.read_to_string(&mut refusal).unwrap();
+        assert!(refusal.starts_with("HTTP/1.1 400 "), "{refusal}");
+        client.join().unwrap();
+        let summary = handle.join().unwrap();
+        assert_eq!((summary.accepted, summary.refused), (2, 1));
+    }
+
+    #[test]
+    fn racing_first_use_of_each_network_answers_like_a_fresh_service() {
+        // Each board with the backend the paper ran on it.
+        const BOARDS: [(&str, &str); 4] = [
+            ("hikey970", "acl-gemm"),
+            ("odroidxu4", "acl-gemm"),
+            ("tx2", "cudnn"),
+            ("nano", "cudnn"),
+        ];
+        let server = Server::bind(ServerOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            max_requests: Some(NETWORKS.len() * BOARDS.len()),
+            ..ServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = thread::spawn(move || server.run().unwrap());
+
+        // One client per board, all walking the networks in the same
+        // order from a common start: both workers reach each network's
+        // empty slot together.
+        let start = Barrier::new(BOARDS.len());
+        let answers: Vec<(String, String)> = thread::scope(|scope| {
+            let clients: Vec<_> = BOARDS
+                .iter()
+                .map(|(device, backend)| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        NETWORKS
+                            .iter()
+                            .map(|(network, _)| {
+                                let body = format!(
+                                    r#"{{"network":"{network}","device":"{device}","backend":"{backend}","budget":0.8}}"#
+                                );
+                                let answer = roundtrip(addr, &post(&body));
+                                (body, answer)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+
+        for (body, answer) in &answers {
+            let (head, got) = answer.split_once("\r\n\r\n").unwrap();
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "{body}: {answer}");
+            let request = PlanRequest::parse(body).unwrap();
+            let expected = PlanService::new(0)
+                .handle(&request)
+                .render(response_id(got), false);
+            assert_eq!(got.trim_end(), expected, "{body}");
+        }
+        let summary = handle.join().unwrap();
+        assert_eq!(summary.accepted, answers.len() as u64);
+        assert_eq!((summary.shed, summary.refused), (0, 0));
     }
 
     #[test]

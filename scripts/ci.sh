@@ -68,7 +68,7 @@ cargo run --release -q -- chaos --seed 1 --jobs 1 --trace-out /tmp/pruneperf-tra
 cargo run --release -q -- chaos --seed 1 --jobs 8 --trace-out /tmp/pruneperf-trace-par.json > /dev/null
 cmp /tmp/pruneperf-trace-seq.json /tmp/pruneperf-trace-par.json
 
-echo "== serve (replay golden + loadgen drill, byte-identical across worker counts) =="
+echo "== serve (replay golden + loadgen golden, byte-identical across worker counts) =="
 cargo run --release -q -- serve --replay tests/goldens/serve_trace.jsonl \
   --workers 2 --queue 1 --service-ms 5 --jobs 1 > /tmp/pruneperf-serve-seq.jsonl
 cargo run --release -q -- serve --replay tests/goldens/serve_trace.jsonl \
@@ -78,6 +78,7 @@ cmp /tmp/pruneperf-serve-seq.jsonl tests/goldens/serve_replay.golden.jsonl
 cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 1 > /tmp/pruneperf-loadgen-seq.txt
 cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 8 > /tmp/pruneperf-loadgen-par.txt
 cmp /tmp/pruneperf-loadgen-seq.txt /tmp/pruneperf-loadgen-par.txt
+cmp /tmp/pruneperf-loadgen-seq.txt tests/goldens/loadgen-seed42.txt
 
 echo "== paper experiments (parallel == sequential, and artifact freshness) =="
 # stdout echoes the --json path, so both runs must name the same file

@@ -14,11 +14,13 @@ use pruneperf_core::accuracy::AccuracyModel;
 use pruneperf_core::search::{SearchAlgo, SearchConfig, SearchOutcome};
 use pruneperf_core::{report, sensitivity, PerfAwarePruner, Staircase};
 use pruneperf_gpusim::{render_trace, ChromeEvent, Engine};
-use pruneperf_models::{alexnet, mobilenet_v1, resnet50, vgg16, ConvLayerSpec, Network};
+use pruneperf_models::{ConvLayerSpec, Network};
 use pruneperf_profiler::{
     sweep, LatencyCache, LayerProfiler, NetworkRunner, Stats, ThermalGovernor,
 };
-use pruneperf_serve::catalog::{backend_by_name, device_by_name, named_devices, network_by_name};
+use pruneperf_serve::catalog::{
+    backend_by_name, device_by_name, named_devices, network_by_name, NETWORKS,
+};
 use pruneperf_serve::{
     replay_trace, run_loadgen, AdmissionConfig, LoadgenOptions, PlanService, Server, ServerOptions,
 };
@@ -279,7 +281,8 @@ fn cmd_devices(_: &Flags) -> Result<String, CliError> {
 
 fn cmd_networks(_: &Flags) -> Result<String, CliError> {
     let mut out = String::new();
-    for net in [resnet50(), vgg16(), alexnet(), mobilenet_v1()] {
+    for (_, build) in NETWORKS {
+        let net = build();
         out.push_str(&format!(
             "{:<38} {:>6.2} GMACs\n",
             net.to_string(),

@@ -1,11 +1,13 @@
-//! Replay-mode golden: the serving stack's determinism contract.
+//! Replay-mode goldens: the serving stack's determinism contract.
 //!
 //! One checked-in trace exercises every response kind — clean plans, a
 //! statically deduplicated duplicate, an admission-control shed, a
 //! degraded plan under a fault seed, a name refusal and a parse error —
 //! and the rendered stream must be byte-identical to the golden at any
-//! `--jobs`. Regenerate with `PRUNEPERF_UPDATE_GOLDENS=1 cargo test
-//! --test serve_replay` after an intentional protocol change.
+//! `--jobs`. The seeded loadgen drill's report is pinned the same way,
+//! so a change to admission or routing shows as a golden diff.
+//! Regenerate with `PRUNEPERF_UPDATE_GOLDENS=1 cargo test --test
+//! serve_replay` after an intentional protocol change.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,9 +21,32 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// Compares `actual` with the golden `name`, or rewrites the golden when
+/// `PRUNEPERF_UPDATE_GOLDENS` is set.
+fn assert_golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    if std::env::var_os("PRUNEPERF_UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden {name} ({e}); run with PRUNEPERF_UPDATE_GOLDENS=1 to create it")
+    });
+    assert_eq!(
+        expected, actual,
+        "golden {name} drifted; if intentional, regenerate with \
+         PRUNEPERF_UPDATE_GOLDENS=1 cargo test --test serve_replay"
+    );
+}
+
+fn run(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    run_cli(&args).expect("command succeeds")
+}
+
 fn replay(jobs: &str) -> String {
     let trace = golden_path("serve_trace.jsonl");
-    let args: Vec<String> = [
+    run(&[
         "serve",
         "--replay",
         trace.to_str().expect("trace path is utf-8"),
@@ -33,11 +58,7 @@ fn replay(jobs: &str) -> String {
         "5",
         "--jobs",
         jobs,
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    run_cli(&args).expect("replay succeeds")
+    ])
 }
 
 #[test]
@@ -49,22 +70,13 @@ fn replay_stream_matches_golden_at_any_jobs() {
         "replay output must be byte-identical across --jobs"
     );
 
-    let path = golden_path("serve_replay.golden.jsonl");
-    if std::env::var_os("PRUNEPERF_UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, &one).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden serve_replay.golden.jsonl ({e}); \
-             run with PRUNEPERF_UPDATE_GOLDENS=1 to create it"
-        )
-    });
-    assert_eq!(
-        expected, one,
-        "serve replay golden drifted; if intentional, regenerate with \
-         PRUNEPERF_UPDATE_GOLDENS=1 cargo test --test serve_replay"
-    );
+    assert_golden("serve_replay.golden.jsonl", &one);
+}
+
+#[test]
+fn loadgen_drill_matches_golden() {
+    let report = run(&["loadgen", "--seed", "42", "--requests", "32", "--jobs", "1"]);
+    assert_golden("loadgen-seed42.txt", &report);
 }
 
 #[test]
