@@ -510,50 +510,64 @@ pub fn verify_footprint(net: &FullNetwork, device: &Device) -> Vec<Diagnostic> {
 }
 
 /// NV004: every keep targets an existing layer and lies within `1..=C`.
+///
+/// Findings come out in label order. One map lookup per layer finds the
+/// bad keeps; labels are unique ([`Network::new`]), so the plan names a
+/// layer the network lacks exactly when fewer layers match than the map
+/// holds, and only then are its keys scanned. A location is formatted
+/// only for a finding.
 pub fn audit_plan_keeps(
     producer: &str,
     network: &Network,
     kept: &HashMap<String, usize>,
 ) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut labels: Vec<&String> = kept.keys().collect();
-    labels.sort(); // canonical order: HashMap iteration is nondeterministic
-    for label in labels {
-        let keep = kept[label];
-        let loc = format!("{producer} / {} :: {label}", network.name());
-        match network.layer(label) {
-            None => out.push(
-                err(
-                    rules::NV004,
-                    &loc,
-                    format!("plan prunes unknown layer '{label}'"),
-                )
-                .with_hint("keeps must target catalog layer labels"),
-            ),
-            Some(layer) => {
-                if keep == 0 || keep > layer.c_out() {
-                    out.push(
-                        err(
-                            rules::NV004,
-                            &loc,
-                            format!(
-                                "keep {keep} outside 1..={} for layer '{label}'",
-                                layer.c_out()
-                            ),
-                        )
-                        .with_hint("prune_output_channels_to targets must stay within 1..=C"),
-                    );
-                }
+    let loc = |label: &str| format!("{producer} / {} :: {label}", network.name());
+    let mut found: Vec<(&str, Diagnostic)> = Vec::new();
+    let mut matched = 0;
+    for layer in network.layers() {
+        if let Some(&keep) = kept.get(layer.label()) {
+            matched += 1;
+            if keep == 0 || keep > layer.c_out() {
+                let label = layer.label();
+                found.push((
+                    label,
+                    err(
+                        rules::NV004,
+                        &loc(label),
+                        format!(
+                            "keep {keep} outside 1..={} for layer '{label}'",
+                            layer.c_out()
+                        ),
+                    )
+                    .with_hint("prune_output_channels_to targets must stay within 1..=C"),
+                ));
             }
         }
     }
-    out
+    if matched < kept.len() {
+        let unknown = kept.keys().filter(|label| network.layer(label).is_none());
+        found.extend(unknown.map(|label| {
+            let diag = err(
+                rules::NV004,
+                &loc(label),
+                format!("plan prunes unknown layer '{label}'"),
+            );
+            (
+                label.as_str(),
+                diag.with_hint("keeps must target catalog layer labels"),
+            )
+        }));
+    }
+    // Canonical order: HashMap iteration is nondeterministic.
+    found.sort_by(|a, b| a.0.cmp(b.0));
+    found.into_iter().map(|(_, diag)| diag).collect()
 }
 
 /// NV005: a coupled (deployed) network must apply paired input-side
 /// pruning — every consumer's input channels equal its producer's kept
 /// output channels, depthwise layers follow their input, and unpruned
-/// layers keep their catalog width.
+/// layers keep their catalog width. Every layer is checked; a location is
+/// formatted only for a finding.
 pub fn audit_coupled_network(
     producer: &str,
     network: &Network,
@@ -575,13 +589,13 @@ pub fn audit_coupled_network(
     }
     let mut prev_out: Option<usize> = None;
     for (orig, layer) in network.layers().iter().zip(coupled.layers()) {
-        let loc = format!("{producer} / {} :: {}", network.name(), orig.label());
+        let loc = || format!("{producer} / {} :: {}", network.name(), orig.label());
         let expect_in = prev_out.unwrap_or_else(|| orig.c_in());
         if layer.c_in() != expect_in {
             out.push(
                 err(
                     rules::NV005,
-                    &loc,
+                    &loc(),
                     format!(
                         "consumer keeps {} input channels but its producer was pruned to {}",
                         layer.c_in(),
@@ -601,7 +615,7 @@ pub fn audit_coupled_network(
         if layer.c_out() != expect_out {
             out.push(err(
                 rules::NV005,
-                &loc,
+                &loc(),
                 format!(
                     "layer emits {} channels but the plan keeps {expect_out}",
                     layer.c_out()
@@ -614,17 +628,22 @@ pub fn audit_coupled_network(
 }
 
 /// Audits one [`PruningPlan`] end to end: keep validity (NV004) and the
-/// coupled deployment it implies (NV005).
+/// coupled deployment it implies (NV005). A plan that keeps 0 channels
+/// of a dense layer has no deployment to build (NV004 reports the keep),
+/// so only then is NV005 skipped.
 pub fn audit_pruning_plan(plan: &PruningPlan, network: &Network) -> Vec<Diagnostic> {
     let producer = format!("{} @ {}", plan.policy(), plan.device());
-    let mut out = audit_plan_keeps(&producer, network, plan.kept_channels());
-    let coupled = network.sequential_with_kept(plan.kept_channels());
-    out.extend(audit_coupled_network(
-        &producer,
-        network,
-        plan.kept_channels(),
-        &coupled,
-    ));
+    let kept = plan.kept_channels();
+    let mut out = audit_plan_keeps(&producer, network, kept);
+    let undeployable = !out.is_empty()
+        && network
+            .layers()
+            .iter()
+            .any(|l| !l.is_depthwise() && kept.get(l.label()) == Some(&0));
+    if !undeployable {
+        let coupled = network.sequential_with_kept(kept);
+        out.extend(audit_coupled_network(&producer, network, kept, &coupled));
+    }
     out
 }
 
@@ -949,6 +968,170 @@ mod tests {
         // The real coupled deployment is clean.
         let coupled = network.sequential_with_kept(&kept);
         assert!(audit_coupled_network("test", &network, &kept, &coupled).is_empty());
+    }
+
+    /// A MobileNetV1 plan with two unknown labels, two keeps of 0 (on
+    /// depthwise layers, which the coupled assembly ignores) and a keep
+    /// above C, so every finding is NV004's.
+    fn mobilenet_bad_plan() -> PruningPlan {
+        serde_json::from_str(
+            r#"{"policy": "search-beam", "backend": "acl-gemm", "device": "HiKey 970",
+                "network": "MobileNetV1", "latency_ms": 1.5, "energy_mj": 2.5, "accuracy": 0.5,
+                "kept": {"MobileNet.L9": 0, "MobileNet.L3": 0, "MobileNet.L12": 600,
+                         "MobileNet.L2": 48, "MobileNet.L99": 8, "MobileNet.Head": 10}}"#,
+        )
+        .expect("plan parses")
+    }
+
+    /// Every field of a diagnostic, in emission order.
+    type Row = (&'static str, Severity, String, String, Option<String>);
+
+    fn rows(diags: &[Diagnostic]) -> Vec<Row> {
+        diags
+            .iter()
+            .map(|d| {
+                let (loc, msg, hint) = (d.location.clone(), d.message.clone(), d.hint.clone());
+                (d.rule, d.severity, loc, msg, hint)
+            })
+            .collect()
+    }
+
+    fn row(rule: &'static str, loc: &str, msg: &str, hint: Option<&str>) -> Row {
+        let hint = hint.map(str::to_string);
+        (
+            rule,
+            Severity::Error,
+            loc.to_string(),
+            msg.to_string(),
+            hint,
+        )
+    }
+
+    /// The NV004 findings for [`mobilenet_bad_plan`] under `producer`, in
+    /// label order.
+    fn bad_plan_rows(producer: &str) -> Vec<Row> {
+        let unknown = Some("keeps must target catalog layer labels");
+        let range = Some("prune_output_channels_to targets must stay within 1..=C");
+        [
+            (
+                "MobileNet.Head",
+                "plan prunes unknown layer 'MobileNet.Head'",
+                unknown,
+            ),
+            (
+                "MobileNet.L12",
+                "keep 600 outside 1..=512 for layer 'MobileNet.L12'",
+                range,
+            ),
+            (
+                "MobileNet.L3",
+                "keep 0 outside 1..=64 for layer 'MobileNet.L3'",
+                range,
+            ),
+            (
+                "MobileNet.L9",
+                "keep 0 outside 1..=256 for layer 'MobileNet.L9'",
+                range,
+            ),
+            (
+                "MobileNet.L99",
+                "plan prunes unknown layer 'MobileNet.L99'",
+                unknown,
+            ),
+        ]
+        .into_iter()
+        .map(|(label, msg, hint)| {
+            let loc = format!("{producer} / MobileNetV1 :: {label}");
+            row(rules::NV004, &loc, msg, hint)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn nv004_diagnostics_are_pinned_byte_for_byte() {
+        let network = mobilenet_v1();
+        let plan = mobilenet_bad_plan();
+        let diags = audit_plan_keeps("test", &network, plan.kept_channels());
+        assert_eq!(rows(&diags), bad_plan_rows("test"));
+
+        // The whole-plan audit adds no NV005 finding: the coupled assembly
+        // ignores keeps on depthwise layers and grows L12 consistently.
+        let diags = audit_pruning_plan(&plan, &network);
+        assert_eq!(rows(&diags), bad_plan_rows("search-beam @ HiKey 970"));
+    }
+
+    /// A keep of 0 on a dense layer is an NV004 finding, not a panic in
+    /// the coupled build (which cannot give a layer 0 channels).
+    #[test]
+    fn nv004_dense_keep_of_zero_is_reported_not_panicked() {
+        let network = mobilenet_v1();
+        let plan: PruningPlan = serde_json::from_str(
+            r#"{"policy": "search-beam", "backend": "acl-gemm", "device": "HiKey 970",
+                "network": "MobileNetV1", "latency_ms": 1.5, "energy_mj": 2.5, "accuracy": 0.5,
+                "kept": {"MobileNet.L2": 0, "MobileNet.L4": 96}}"#,
+        )
+        .expect("plan parses");
+        let expected = vec![row(
+            rules::NV004,
+            "search-beam @ HiKey 970 / MobileNetV1 :: MobileNet.L2",
+            "keep 0 outside 1..=64 for layer 'MobileNet.L2'",
+            Some("prune_output_channels_to targets must stay within 1..=C"),
+        )];
+        assert_eq!(rows(&audit_pruning_plan(&plan, &network)), expected);
+    }
+
+    #[test]
+    fn nv005_diagnostics_are_pinned_byte_for_byte() {
+        let network = mobilenet_v1();
+        let mut kept = HashMap::new();
+        kept.insert("MobileNet.L2".to_string(), 48usize);
+        kept.insert("MobileNet.L10".to_string(), 200usize);
+        // The naive deployment shrinks each pruned layer's outputs and
+        // leaves the depthwise consumer after it at catalog width.
+        let naive = Network::new(
+            "MobileNetV1 (naive)",
+            network
+                .layers()
+                .iter()
+                .map(|l| match kept.get(l.label()) {
+                    Some(&k) => l.with_c_out(k).expect("keep in range"),
+                    None => l.clone(),
+                })
+                .collect(),
+        );
+        let paired = Some("apply the paired input-side prune downstream (§II-B)");
+        let (l3, l11) = (
+            "test / MobileNetV1 :: MobileNet.L3",
+            "test / MobileNetV1 :: MobileNet.L11",
+        );
+        let expected = vec![
+            row(
+                rules::NV005,
+                l3,
+                "consumer keeps 64 input channels but its producer was pruned to 48",
+                paired,
+            ),
+            row(
+                rules::NV005,
+                l3,
+                "layer emits 64 channels but the plan keeps 48",
+                None,
+            ),
+            row(
+                rules::NV005,
+                l11,
+                "consumer keeps 256 input channels but its producer was pruned to 200",
+                paired,
+            ),
+            row(
+                rules::NV005,
+                l11,
+                "layer emits 256 channels but the plan keeps 200",
+                None,
+            ),
+        ];
+        let diags = audit_coupled_network("test", &network, &kept, &naive);
+        assert_eq!(rows(&diags), expected);
     }
 
     #[test]

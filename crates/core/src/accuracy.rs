@@ -11,7 +11,9 @@
 //!
 //! The model: each layer's channels carry importances sampled from a seeded
 //! lognormal-like distribution (derived from the synthetic weights' L1
-//! norms, mirroring magnitude-based pruning criteria). Pruning removes the
+//! norms, mirroring magnitude-based pruning criteria; the norms are
+//! streamed from the weight generator, so no weight tensor is ever
+//! built here). Pruning removes the
 //! *least* important channels first — the §II-B observation that latency
 //! does not care which channel is removed means the latency side stays
 //! sequential while accuracy assumes an ideal selection. Network accuracy

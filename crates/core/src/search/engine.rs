@@ -84,8 +84,6 @@ pub struct SearchOutcome {
     /// The non-dominated front as full pruning plans, in the archive's
     /// canonical order.
     pub plans: Vec<PruningPlan>,
-    /// Kept-channel genomes backing each plan, same order.
-    pub genomes: Vec<Vec<usize>>,
     /// Distinct candidate configurations evaluated.
     pub evaluated: u64,
     /// Front size (points archived at the end).
@@ -122,44 +120,7 @@ pub fn search(
 
     match config.algo {
         SearchAlgo::Beam => {
-            let start = space.full_genome();
-            evaluated += 1;
-            archive.offer(space.score(&start), start.clone());
-            let mut visited: HashSet<Vec<usize>> = HashSet::new();
-            visited.insert(start.clone());
-            let mut beam = vec![start];
-            loop {
-                // One ladder step down in one layer, from every beam genome.
-                let mut frontier: Vec<Vec<usize>> = Vec::new();
-                for genome in &beam {
-                    for (l, &slot) in genome.iter().enumerate() {
-                        if slot == 0 {
-                            continue;
-                        }
-                        let mut child = genome.clone();
-                        child[l] = slot - 1;
-                        if visited.insert(child.clone()) {
-                            frontier.push(child);
-                        }
-                    }
-                }
-                if frontier.is_empty() {
-                    break;
-                }
-                rounds += 1;
-                evaluated += frontier.len() as u64;
-                let mut scored: Vec<(bool, u64, Vec<usize>)> = frontier
-                    .into_iter()
-                    .map(|genome| {
-                        let on_front = archive.offer(space.score(&genome), genome.clone());
-                        (on_front, genome_hash(config.seed, &genome), genome)
-                    })
-                    .collect();
-                // Survivors (currently non-dominated) first, then the
-                // seeded hash, then genome order — fully deterministic.
-                scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-                beam = scored.into_iter().take(width).map(|(_, _, g)| g).collect();
-            }
+            (evaluated, rounds) = run_beam(&space, config.seed, width, &mut archive)
         }
         SearchAlgo::Evolve => {
             // Hashed initial population: the unpruned genome plus μ−1
@@ -265,7 +226,6 @@ pub fn search(
     };
     let device = profiler.device().name().to_string();
     let mut plans = Vec::with_capacity(archive.len());
-    let mut genomes = Vec::with_capacity(archive.len());
     for (point, genome) in archive.entries() {
         plans.push(PruningPlan::from_parts(
             policy,
@@ -277,11 +237,9 @@ pub fn search(
             point.energy_mj,
             point.accuracy,
         ));
-        genomes.push(genome.clone());
     }
     SearchOutcome {
         plans,
-        genomes,
         evaluated,
         archived: archive.len(),
         dominated: archive.dominated(),
@@ -289,6 +247,62 @@ pub fn search(
         rounds,
         total_configs: space.total_configs(),
     }
+}
+
+/// Beam search from the unpruned genome: each round lowers one slot of
+/// every beam genome by one, offers each distinct child to `archive`, and
+/// keeps the `width` best-ranked children as the next beam, until no slot
+/// can drop. Returns `(evaluated, rounds)`.
+fn run_beam(
+    space: &SearchSpace,
+    seed: u64,
+    width: usize,
+    archive: &mut ParetoArchive<Vec<usize>>,
+) -> (u64, u64) {
+    let start = space.full_genome();
+    let mut evaluated = 1u64;
+    let mut rounds = 0u64;
+    archive.offer(space.score(&start), start.clone());
+    let mut beam = vec![start];
+    let mut seen: HashSet<Vec<usize>> = HashSet::new();
+    loop {
+        // Every child is its parent with one slot lowered by one, so each
+        // child of round r has slot sum S0 − r (S0: the full genome's) and
+        // can only repeat a child of the same round. Deduplicating within
+        // the round therefore drops exactly what a whole-search set would,
+        // while the set holds at most `width` × layers genomes.
+        seen.clear();
+        let mut frontier: Vec<Vec<usize>> = Vec::new();
+        for genome in &beam {
+            for (l, &slot) in genome.iter().enumerate() {
+                if slot == 0 {
+                    continue;
+                }
+                let mut child = genome.clone();
+                child[l] = slot - 1;
+                if seen.insert(child.clone()) {
+                    frontier.push(child);
+                }
+            }
+        }
+        if frontier.is_empty() {
+            break;
+        }
+        rounds += 1;
+        evaluated += frontier.len() as u64;
+        let mut scored: Vec<(bool, u64, Vec<usize>)> = frontier
+            .into_iter()
+            .map(|genome| {
+                let on_front = archive.offer(space.score(&genome), genome.clone());
+                (on_front, genome_hash(seed, &genome), genome)
+            })
+            .collect();
+        // Survivors (currently non-dominated) first, then the seeded hash,
+        // then genome order — fully deterministic.
+        scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        beam = scored.into_iter().take(width).map(|(_, _, g)| g).collect();
+    }
+    (evaluated, rounds)
 }
 
 /// Non-domination rank per point (0 = on the pool's front; peel and
@@ -427,6 +441,101 @@ mod tests {
             },
         );
         assert_eq!(out.rounds, 3);
+    }
+
+    /// The beam as it ran before per-round dedup, with one `visited` set
+    /// for the whole search: the oracle for [`run_beam`].
+    fn beam_with_whole_search_dedup(
+        space: &SearchSpace,
+        seed: u64,
+        width: usize,
+        archive: &mut ParetoArchive<Vec<usize>>,
+    ) -> (u64, u64) {
+        let start = space.full_genome();
+        let mut evaluated = 1u64;
+        let mut rounds = 0u64;
+        archive.offer(space.score(&start), start.clone());
+        let mut visited: HashSet<Vec<usize>> = HashSet::new();
+        visited.insert(start.clone());
+        let mut beam = vec![start];
+        loop {
+            let mut frontier: Vec<Vec<usize>> = Vec::new();
+            for genome in &beam {
+                for (l, &slot) in genome.iter().enumerate() {
+                    if slot == 0 {
+                        continue;
+                    }
+                    let mut child = genome.clone();
+                    child[l] = slot - 1;
+                    if visited.insert(child.clone()) {
+                        frontier.push(child);
+                    }
+                }
+            }
+            if frontier.is_empty() {
+                break;
+            }
+            rounds += 1;
+            evaluated += frontier.len() as u64;
+            let mut scored: Vec<(bool, u64, Vec<usize>)> = frontier
+                .into_iter()
+                .map(|genome| {
+                    let on_front = archive.offer(space.score(&genome), genome.clone());
+                    (on_front, genome_hash(seed, &genome), genome)
+                })
+                .collect();
+            scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            beam = scored.into_iter().take(width).map(|(_, _, g)| g).collect();
+        }
+        (evaluated, rounds)
+    }
+
+    type FrontBits = Vec<(u64, u64, u64, Vec<usize>)>;
+
+    fn front_bits(archive: &ParetoArchive<Vec<usize>>) -> FrontBits {
+        archive
+            .entries()
+            .map(|(p, g)| {
+                let bits = (p.latency_ms.to_bits(), p.energy_mj.to_bits());
+                (bits.0, bits.1, p.accuracy.to_bits(), g.clone())
+            })
+            .collect()
+    }
+
+    /// Per-round dedup evaluates, archives and ranks exactly what the
+    /// whole-search `visited` set did, over every fixture net and board.
+    #[test]
+    fn per_round_dedup_matches_whole_search_dedup() {
+        let nets = [
+            testkit::tiny_net(),
+            testkit::micro_net(),
+            testkit::ragged_net(),
+            testkit::wide_net(),
+        ];
+        for net in &nets {
+            for device in Device::all_paper_devices() {
+                let (p, a) = testkit::noiseless_setup(net, &device);
+                let space = SearchSpace::build_for(&p, &a, &AclGemm::new(), net);
+                for seed in 1..=8 {
+                    for width in [1, 4, 16] {
+                        let case = format!(
+                            "{} on {} seed {seed} width {width}",
+                            net.name(),
+                            device.name()
+                        );
+                        let mut archive = ParetoArchive::new();
+                        let got = run_beam(&space, seed, width, &mut archive);
+                        let mut oracle = ParetoArchive::new();
+                        let want = beam_with_whole_search_dedup(&space, seed, width, &mut oracle);
+                        assert_eq!(got, want, "{case}: (evaluated, rounds)");
+                        assert_eq!(archive.len(), oracle.len(), "{case}: archived");
+                        assert_eq!(archive.dominated(), oracle.dominated(), "{case}");
+                        assert_eq!(archive.duplicates(), oracle.duplicates(), "{case}");
+                        assert_eq!(front_bits(&archive), front_bits(&oracle), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The paper prunes without retraining (§II-B), so weight *values* never
 //! influence latency — but the integration tests still exercise real
 //! arithmetic end-to-end, and the accuracy surrogate in `pruneperf-core`
-//! derives per-channel importances from these tensors. A splitmix64 stream
-//! keyed by the layer label keeps everything reproducible without carrying
-//! an RNG dependency.
+//! derives per-channel importances from these weights' L1 norms. A
+//! splitmix64 stream keyed by the layer label keeps everything
+//! reproducible without carrying an RNG dependency, and lets
+//! [`channel_l1_norms`] stream the norms from it with no tensor.
 
 use pruneperf_tensor::Tensor;
 
@@ -66,16 +67,19 @@ pub fn synthetic_input(layer: &ConvLayerSpec) -> Tensor {
 
 /// Per-output-channel L1 norms of a layer's synthetic weights — the
 /// magnitude signal channel-pruning criteria rank filters by.
+///
+/// Streamed: draws the same splitmix stream as [`synthetic_weights`] and
+/// sums each channel's `|w|` in element order with no tensor behind it,
+/// so every norm is bit-identical to summing that tensor's filter rows.
 pub fn channel_l1_norms(layer: &ConvLayerSpec) -> Vec<f32> {
-    let w = synthetic_weights(layer);
-    let [o, kh, kw, i] = w.shape().dims();
-    let filter_len = kh * kw * i;
-    (0..o)
-        .map(|oc| {
-            // lint: allow(index) — oc < o and the slice length is o * filter_len by shape
-            w.as_slice()[oc * filter_len..(oc + 1) * filter_len]
-                .iter()
-                .map(|v| v.abs())
+    let c_in_per_group = layer.c_in() / layer.groups();
+    let filter_len = layer.kernel() * layer.kernel() * c_in_per_group;
+    let scale = (2.0 / filter_len as f32).sqrt();
+    let mut state = label_seed(layer.label());
+    (0..layer.c_out())
+        .map(|_| {
+            (0..filter_len)
+                .map(|_| uniform(&mut state, scale).abs())
                 .sum()
         })
         .collect()
@@ -84,7 +88,7 @@ pub fn channel_l1_norms(layer: &ConvLayerSpec) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resnet50;
+    use crate::{alexnet, mobilenet_v1, resnet50, vgg16};
     use pruneperf_tensor::conv::{direct, im2col_gemm};
     use pruneperf_tensor::prune;
 
@@ -133,6 +137,29 @@ mod tests {
         let norms = channel_l1_norms(&layer);
         assert_eq!(norms.len(), layer.c_out());
         assert!(norms.iter().all(|n| *n > 0.0));
+    }
+
+    /// The streamed norms equal, bit for bit, each filter row's `|w|` sum
+    /// over the materialized tensor, on every layer of the four catalog
+    /// networks (dense, and depthwise with grouped filters).
+    #[test]
+    fn streamed_norms_equal_the_tensor_norms() {
+        for network in [alexnet(), mobilenet_v1(), resnet50(), vgg16()] {
+            for layer in network.layers() {
+                let w = synthetic_weights(layer);
+                let filter_len = w.as_slice().len() / layer.c_out();
+                let expected: Vec<u32> = w
+                    .as_slice()
+                    .chunks(filter_len)
+                    .map(|row| row.iter().map(|v| v.abs()).sum::<f32>().to_bits())
+                    .collect();
+                let streamed: Vec<u32> = channel_l1_norms(layer)
+                    .into_iter()
+                    .map(f32::to_bits)
+                    .collect();
+                assert_eq!(streamed, expected, "{}", layer.label());
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,8 @@ cargo run --release -q -- chaos --seed 4 --faults 0.5 > /dev/null
 
 echo "== search (differential suite + determinism + persist/resume) =="
 cargo test -q --release -p pruneperf-core --test search_differential
+# --include-ignored adds the check of all 32 recorded ResNet-50 fronts
+cargo test -q --release --test search_cli -- --include-ignored
 cargo run --release -q -- search --network alexnet --json --jobs 1 > /tmp/pruneperf-search-seq.json
 cargo run --release -q -- search --network alexnet --json --jobs 8 > /tmp/pruneperf-search-par.json
 cmp /tmp/pruneperf-search-seq.json /tmp/pruneperf-search-par.json

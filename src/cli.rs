@@ -4,7 +4,7 @@
 //! unit-testable; `src/bin/pruneperf.rs` is a thin wrapper.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::str::FromStr;
@@ -706,7 +706,8 @@ fn cmd_search(f: &Flags) -> Result<String, CliError> {
 }
 
 /// Renders the schedule-free search report (stable field order, floats via
-/// shortest-roundtrip `Display` so string equality is bit equality).
+/// shortest-roundtrip `Display` so string equality is bit equality),
+/// writing every field straight into the one output buffer.
 fn render_search_json(
     network_name: &str,
     device_name: &str,
@@ -718,37 +719,34 @@ fn render_search_json(
     let mut out = String::from("{\n");
     out.push_str("  \"version\": 1,\n");
     out.push_str("  \"command\": \"search\",\n");
-    out.push_str(&format!("  \"network\": \"{network_name}\",\n"));
-    out.push_str(&format!("  \"device\": \"{device_name}\",\n"));
-    out.push_str(&format!("  \"backend\": \"{backend_name}\",\n"));
-    out.push_str(&format!("  \"algo\": \"{}\",\n", config.algo.name()));
-    out.push_str(&format!("  \"seed\": {},\n", config.seed));
-    out.push_str(&format!("  \"beam_width\": {},\n", config.beam_width));
-    out.push_str(&format!("  \"generations\": {},\n", config.generations));
-    out.push_str(&format!(
-        "  \"total_configs\": {},\n",
-        outcome.total_configs
-    ));
-    out.push_str(&format!("  \"evaluated\": {},\n", outcome.evaluated));
-    out.push_str(&format!("  \"archived\": {},\n", outcome.archived));
-    out.push_str(&format!("  \"dominated\": {},\n", outcome.dominated));
-    out.push_str(&format!("  \"duplicates\": {},\n", outcome.duplicates));
-    out.push_str(&format!("  \"rounds\": {},\n", outcome.rounds));
+    let _ = writeln!(out, "  \"network\": \"{network_name}\",");
+    let _ = writeln!(out, "  \"device\": \"{device_name}\",");
+    let _ = writeln!(out, "  \"backend\": \"{backend_name}\",");
+    let _ = writeln!(out, "  \"algo\": \"{}\",", config.algo.name());
+    let _ = writeln!(out, "  \"seed\": {},", config.seed);
+    let _ = writeln!(out, "  \"beam_width\": {},", config.beam_width);
+    let _ = writeln!(out, "  \"generations\": {},", config.generations);
+    let _ = writeln!(out, "  \"total_configs\": {},", outcome.total_configs);
+    let _ = writeln!(out, "  \"evaluated\": {},", outcome.evaluated);
+    let _ = writeln!(out, "  \"archived\": {},", outcome.archived);
+    let _ = writeln!(out, "  \"dominated\": {},", outcome.dominated);
+    let _ = writeln!(out, "  \"duplicates\": {},", outcome.duplicates);
+    let _ = writeln!(out, "  \"rounds\": {},", outcome.rounds);
     out.push_str("  \"front\": [\n");
     for (i, plan) in outcome.plans.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"latency_ms\": {}, \"energy_mj\": {}, \"accuracy\": {}, \"kept\": {{",
+        let _ = write!(
+            out,
+            "    {{\"latency_ms\": {}, \"energy_mj\": {}, \"accuracy\": {}, \"kept\": {{",
             plan.latency_ms(),
             plan.energy_mj(),
             plan.accuracy()
-        ));
+        );
         for (j, layer) in network.layers().iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
             let k = plan.kept_for(layer.label()).unwrap_or(layer.c_out());
-            out.push_str(&format!("\"{}\": {k}", layer.label()));
+            let _ = write!(out, "\"{}\": {k}", layer.label());
         }
         out.push_str("}}");
         if i + 1 < outcome.plans.len() {
