@@ -8,6 +8,7 @@ use pruneperf_models::Network;
 use pruneperf_profiler::LayerProfiler;
 
 use crate::accuracy::AccuracyModel;
+use crate::search::{Objective, SearchSpace};
 use crate::{pareto_front, Staircase};
 
 /// A concrete pruning decision for a whole network: how many channels each
@@ -182,7 +183,8 @@ impl<'a> PerfAwarePruner<'a> {
 
     /// Prunes `network` until its summed layer latency is at most
     /// `budget_fraction` of the unpruned latency, spending as little
-    /// accuracy as possible (greedy best latency-saved-per-accuracy-lost).
+    /// accuracy as possible (greedy best latency-saved-per-accuracy-lost,
+    /// [`SearchSpace::greedy`]).
     ///
     /// # Panics
     ///
@@ -193,89 +195,14 @@ impl<'a> PerfAwarePruner<'a> {
         network: &Network,
         budget_fraction: f64,
     ) -> PruningPlan {
-        assert!(
-            budget_fraction > 0.0 && budget_fraction <= 1.0,
-            "budget fraction must be in (0, 1]"
-        );
-        // Per-layer candidate ladders (ascending channel counts).
-        let ladders: HashMap<String, Vec<(usize, f64)>> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), self.candidates_for(backend, l)))
-            .collect();
-
-        let mut kept: HashMap<String, usize> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), l.c_out()))
-            .collect();
-        let mut per_layer_ms: HashMap<String, f64> = network
-            .layers()
-            .iter()
-            .map(|l| {
-                (
-                    l.label().to_string(),
-                    self.profiler.measure(backend, l).median_ms(),
-                )
-            })
-            .collect();
-        // Sum and search in catalog order, not hash order: float sums are
-        // order-sensitive and the greedy's `>` tie-break keeps the first
-        // candidate seen, so hash-order iteration would vary across runs.
-        let total0: f64 = network
-            .layers()
-            .iter()
-            .map(|l| per_layer_ms[l.label()])
-            .sum();
-        let budget = total0 * budget_fraction;
-        let mut total = total0;
-        let mut acc = self.accuracy.accuracy_with(&kept);
-
-        while total > budget {
-            // Best next move: largest latency saved per accuracy lost.
-            let mut best: Option<(String, usize, f64, f64, f64)> = None; // label, c, ms, d_lat, d_acc
-            for layer in network.layers() {
-                let label = layer.label();
-                let ladder = &ladders[label];
-                let cur_c = kept[label];
-                let cur_ms = per_layer_ms[label];
-                // Next candidate strictly below the current count that saves time.
-                let next = ladder
-                    .iter()
-                    .rev()
-                    .find(|&&(c, ms)| c < cur_c && ms < cur_ms);
-                if let Some(&(c, ms)) = next {
-                    let mut trial = kept.clone();
-                    trial.insert(label.to_string(), c);
-                    let new_acc = self.accuracy.accuracy_with(&trial);
-                    let d_lat = cur_ms - ms;
-                    let d_acc = (acc - new_acc).max(1e-9);
-                    let score = d_lat / d_acc;
-                    if best.as_ref().is_none_or(|b| score > b.3 / b.4) {
-                        best = Some((label.to_string(), c, ms, d_lat, d_acc));
-                    }
-                }
-            }
-            let Some((label, c, ms, _, _)) = best else {
-                break; // no further beneficial moves
-            };
-            total -= per_layer_ms[&label] - ms;
-            per_layer_ms.insert(label.clone(), ms);
-            kept.insert(label.clone(), c);
-            acc = self.accuracy.accuracy_with(&kept);
-        }
-
-        let (_, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        PruningPlan {
-            policy: "performance-aware".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            latency_ms: total,
-            energy_mj,
-            accuracy: acc,
-            kept,
-        }
+        let space = SearchSpace::build_for(self.profiler, self.accuracy, backend, network);
+        self.plan_on(
+            &space,
+            backend,
+            network,
+            Objective::Latency,
+            budget_fraction,
+        )
     }
 
     /// Energy-aware variant of [`PerfAwarePruner::prune_to_latency`]: same
@@ -293,84 +220,8 @@ impl<'a> PerfAwarePruner<'a> {
         network: &Network,
         budget_fraction: f64,
     ) -> PruningPlan {
-        assert!(
-            budget_fraction > 0.0 && budget_fraction <= 1.0,
-            "budget fraction must be in (0, 1]"
-        );
-        let ladders: HashMap<String, Vec<(usize, f64)>> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), self.candidates_for(backend, l)))
-            .collect();
-        let mut kept: HashMap<String, usize> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), l.c_out()))
-            .collect();
-        let mut per_layer_mj: HashMap<String, f64> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), self.profiler.energy_mj(backend, l)))
-            .collect();
-        // Catalog-order sum and search, as in `prune_to_latency`: hash-order
-        // iteration would make the float total and greedy tie-breaks vary
-        // across runs.
-        let total0: f64 = network
-            .layers()
-            .iter()
-            .map(|l| per_layer_mj[l.label()])
-            .sum();
-        let budget = total0 * budget_fraction;
-        let mut total = total0;
-        let mut acc = self.accuracy.accuracy_with(&kept);
-
-        while total > budget {
-            let mut best: Option<(String, usize, f64, f64, f64)> = None;
-            for layer in network.layers() {
-                let label = layer.label();
-                let ladder = &ladders[label];
-                let cur_c = kept[label];
-                let cur_mj = per_layer_mj[label];
-                let next = ladder.iter().rev().find_map(|&(c, _)| {
-                    if c >= cur_c {
-                        return None;
-                    }
-                    // lint: allow(unwrap) — ladder counts come from 1..=c_out
-                    let pruned = layer.with_c_out(c).expect("ladder in range");
-                    let mj = self.profiler.energy_mj(backend, &pruned);
-                    (mj < cur_mj).then_some((c, mj))
-                });
-                if let Some((c, mj)) = next {
-                    let mut trial = kept.clone();
-                    trial.insert(label.to_string(), c);
-                    let new_acc = self.accuracy.accuracy_with(&trial);
-                    let d_energy = cur_mj - mj;
-                    let d_acc = (acc - new_acc).max(1e-9);
-                    if best.as_ref().is_none_or(|b| d_energy / d_acc > b.3 / b.4) {
-                        best = Some((label.to_string(), c, mj, d_energy, d_acc));
-                    }
-                }
-            }
-            let Some((label, c, mj, _, _)) = best else {
-                break;
-            };
-            total -= per_layer_mj[&label] - mj;
-            per_layer_mj.insert(label.clone(), mj);
-            kept.insert(label.clone(), c);
-            acc = self.accuracy.accuracy_with(&kept);
-        }
-
-        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        PruningPlan {
-            policy: "energy-aware".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            latency_ms,
-            energy_mj,
-            accuracy: acc,
-            kept,
-        }
+        let space = SearchSpace::build_for(self.profiler, self.accuracy, backend, network);
+        self.plan_on(&space, backend, network, Objective::Energy, budget_fraction)
     }
 
     /// Plans at several latency budgets, reduced to the Pareto front over
@@ -383,9 +234,10 @@ impl<'a> PerfAwarePruner<'a> {
         network: &Network,
         budget_fractions: &[f64],
     ) -> Vec<PruningPlan> {
+        let space = SearchSpace::build_for(self.profiler, self.accuracy, backend, network);
         let plans: Vec<PruningPlan> = budget_fractions
             .iter()
-            .map(|&f| self.prune_to_latency(backend, network, f))
+            .map(|&f| self.plan_on(&space, backend, network, Objective::Latency, f))
             .collect();
         let metric: Vec<(f64, f64)> = plans
             .iter()
@@ -395,6 +247,32 @@ impl<'a> PerfAwarePruner<'a> {
             .into_iter()
             .map(|i| plans[i].clone())
             .collect()
+    }
+
+    /// The greedy's plan on `network`'s space.
+    fn plan_on(
+        &self,
+        space: &SearchSpace,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        objective: Objective,
+        budget_fraction: f64,
+    ) -> PruningPlan {
+        let (genome, point) = space.greedy(objective, budget_fraction);
+        let policy = match objective {
+            Objective::Latency => "performance-aware",
+            Objective::Energy => "energy-aware",
+        };
+        PruningPlan::from_parts(
+            policy,
+            backend.name(),
+            self.profiler.device().name(),
+            network.name(),
+            space.kept_map(&genome),
+            point.latency_ms,
+            point.energy_mj,
+            point.accuracy,
+        )
     }
 }
 
@@ -488,12 +366,297 @@ impl<'a> UninstructedPruner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::tiny_net;
-    use pruneperf_backends::{AclDirect, AclGemm};
+    use crate::testkit::{self, tiny_net};
+    use pruneperf_backends::{AclAuto, AclDirect, AclDirectTuned, AclGemm, Cudnn, Tvm};
     use pruneperf_gpusim::Device;
+    use pruneperf_profiler::LatencyCache;
+    use std::sync::Arc;
 
     fn setup(device: &Device) -> (LayerProfiler, AccuracyModel) {
         crate::testkit::noiseless_setup(&tiny_net(), device)
+    }
+
+    /// The §V loops as they ran before the slot-table greedy, on keep maps
+    /// and cache reads: the oracle for [`SearchSpace::greedy`].
+    impl PerfAwarePruner<'_> {
+        fn prune_to_latency_by_map(
+            &self,
+            backend: &dyn ConvBackend,
+            network: &Network,
+            budget_fraction: f64,
+        ) -> PruningPlan {
+            assert!(
+                budget_fraction > 0.0 && budget_fraction <= 1.0,
+                "budget fraction must be in (0, 1]"
+            );
+            // Per-layer candidate ladders (ascending channel counts).
+            let ladders: HashMap<String, Vec<(usize, f64)>> = network
+                .layers()
+                .iter()
+                .map(|l| (l.label().to_string(), self.candidates_for(backend, l)))
+                .collect();
+
+            let mut kept: HashMap<String, usize> = network
+                .layers()
+                .iter()
+                .map(|l| (l.label().to_string(), l.c_out()))
+                .collect();
+            let mut per_layer_ms: HashMap<String, f64> = network
+                .layers()
+                .iter()
+                .map(|l| {
+                    (
+                        l.label().to_string(),
+                        self.profiler.measure(backend, l).median_ms(),
+                    )
+                })
+                .collect();
+            // Sum and search in catalog order, not hash order: float sums are
+            // order-sensitive and the greedy's `>` tie-break keeps the first
+            // candidate seen, so hash-order iteration would vary across runs.
+            let total0: f64 = network
+                .layers()
+                .iter()
+                .map(|l| per_layer_ms[l.label()])
+                .sum();
+            let budget = total0 * budget_fraction;
+            let mut total = total0;
+            let mut acc = self.accuracy.accuracy_with(&kept);
+
+            while total > budget {
+                // Best next move: largest latency saved per accuracy lost.
+                let mut best: Option<(String, usize, f64, f64, f64)> = None; // label, c, ms, d_lat, d_acc
+                for layer in network.layers() {
+                    let label = layer.label();
+                    let ladder = &ladders[label];
+                    let cur_c = kept[label];
+                    let cur_ms = per_layer_ms[label];
+                    // Next candidate strictly below the current count that saves time.
+                    let next = ladder
+                        .iter()
+                        .rev()
+                        .find(|&&(c, ms)| c < cur_c && ms < cur_ms);
+                    if let Some(&(c, ms)) = next {
+                        let mut trial = kept.clone();
+                        trial.insert(label.to_string(), c);
+                        let new_acc = self.accuracy.accuracy_with(&trial);
+                        let d_lat = cur_ms - ms;
+                        let d_acc = (acc - new_acc).max(1e-9);
+                        let score = d_lat / d_acc;
+                        if best.as_ref().is_none_or(|b| score > b.3 / b.4) {
+                            best = Some((label.to_string(), c, ms, d_lat, d_acc));
+                        }
+                    }
+                }
+                let Some((label, c, ms, _, _)) = best else {
+                    break; // no further beneficial moves
+                };
+                total -= per_layer_ms[&label] - ms;
+                per_layer_ms.insert(label.clone(), ms);
+                kept.insert(label.clone(), c);
+                acc = self.accuracy.accuracy_with(&kept);
+            }
+
+            let (_, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
+            PruningPlan {
+                policy: "performance-aware".into(),
+                backend: backend.name().to_string(),
+                device: self.profiler.device().name().to_string(),
+                network: network.name().to_string(),
+                latency_ms: total,
+                energy_mj,
+                accuracy: acc,
+                kept,
+            }
+        }
+
+        fn prune_to_energy_by_map(
+            &self,
+            backend: &dyn ConvBackend,
+            network: &Network,
+            budget_fraction: f64,
+        ) -> PruningPlan {
+            assert!(
+                budget_fraction > 0.0 && budget_fraction <= 1.0,
+                "budget fraction must be in (0, 1]"
+            );
+            let ladders: HashMap<String, Vec<(usize, f64)>> = network
+                .layers()
+                .iter()
+                .map(|l| (l.label().to_string(), self.candidates_for(backend, l)))
+                .collect();
+            let mut kept: HashMap<String, usize> = network
+                .layers()
+                .iter()
+                .map(|l| (l.label().to_string(), l.c_out()))
+                .collect();
+            let mut per_layer_mj: HashMap<String, f64> = network
+                .layers()
+                .iter()
+                .map(|l| (l.label().to_string(), self.profiler.energy_mj(backend, l)))
+                .collect();
+            // Catalog-order sum and search, as in `prune_to_latency`: hash-order
+            // iteration would make the float total and greedy tie-breaks vary
+            // across runs.
+            let total0: f64 = network
+                .layers()
+                .iter()
+                .map(|l| per_layer_mj[l.label()])
+                .sum();
+            let budget = total0 * budget_fraction;
+            let mut total = total0;
+            let mut acc = self.accuracy.accuracy_with(&kept);
+
+            while total > budget {
+                let mut best: Option<(String, usize, f64, f64, f64)> = None;
+                for layer in network.layers() {
+                    let label = layer.label();
+                    let ladder = &ladders[label];
+                    let cur_c = kept[label];
+                    let cur_mj = per_layer_mj[label];
+                    let next = ladder.iter().rev().find_map(|&(c, _)| {
+                        if c >= cur_c {
+                            return None;
+                        }
+                        // lint: allow(unwrap) — ladder counts come from 1..=c_out
+                        let pruned = layer.with_c_out(c).expect("ladder in range");
+                        let mj = self.profiler.energy_mj(backend, &pruned);
+                        (mj < cur_mj).then_some((c, mj))
+                    });
+                    if let Some((c, mj)) = next {
+                        let mut trial = kept.clone();
+                        trial.insert(label.to_string(), c);
+                        let new_acc = self.accuracy.accuracy_with(&trial);
+                        let d_energy = cur_mj - mj;
+                        let d_acc = (acc - new_acc).max(1e-9);
+                        if best.as_ref().is_none_or(|b| d_energy / d_acc > b.3 / b.4) {
+                            best = Some((label.to_string(), c, mj, d_energy, d_acc));
+                        }
+                    }
+                }
+                let Some((label, c, mj, _, _)) = best else {
+                    break;
+                };
+                total -= per_layer_mj[&label] - mj;
+                per_layer_mj.insert(label.clone(), mj);
+                kept.insert(label.clone(), c);
+                acc = self.accuracy.accuracy_with(&kept);
+            }
+
+            let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
+            PruningPlan {
+                policy: "energy-aware".into(),
+                backend: backend.name().to_string(),
+                device: self.profiler.device().name().to_string(),
+                network: network.name().to_string(),
+                latency_ms,
+                energy_mj,
+                accuracy: acc,
+                kept,
+            }
+        }
+    }
+
+    /// Both greedies at every budget, compared bit for bit.
+    fn assert_greedy_matches_map(
+        pruner: &PerfAwarePruner<'_>,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        budgets: &[f64],
+    ) {
+        let bits =
+            |p: &PruningPlan| [p.latency_ms(), p.energy_mj(), p.accuracy()].map(f64::to_bits);
+        for &budget in budgets {
+            for (got, want) in [
+                (
+                    pruner.prune_to_latency(backend, network, budget),
+                    pruner.prune_to_latency_by_map(backend, network, budget),
+                ),
+                (
+                    pruner.prune_to_energy(backend, network, budget),
+                    pruner.prune_to_energy_by_map(backend, network, budget),
+                ),
+            ] {
+                let case = format!(
+                    "{} {} on {} ({}) at {budget}",
+                    want.policy(),
+                    network.name(),
+                    want.device(),
+                    want.backend()
+                );
+                assert_eq!(bits(&got), bits(&want), "{case}");
+                assert_eq!(got.kept_channels(), want.kept_channels(), "{case}");
+                assert_eq!(got.policy(), want.policy(), "{case}");
+            }
+        }
+    }
+
+    /// Every catalog backend, in `serve`'s catalog order.
+    fn all_six_backends() -> [Box<dyn ConvBackend>; 6] {
+        [
+            Box::new(AclGemm::new()),
+            Box::new(AclDirect::new()),
+            Box::new(AclDirectTuned::new()),
+            Box::new(AclAuto::new()),
+            Box::new(Cudnn::new()),
+            Box::new(Tvm::new()),
+        ]
+    }
+
+    /// Both greedies on `net` on every paper board and backend, with both
+    /// profilers, five budgets and both objectives.
+    fn assert_greedy_matches_map_everywhere(net: &Network) {
+        let accuracy = AccuracyModel::for_network(net);
+        for device in Device::all_paper_devices() {
+            let cache = Arc::new(LatencyCache::new());
+            for profiler in [
+                LayerProfiler::noiseless(&device),
+                LayerProfiler::new(&device),
+            ] {
+                let profiler = profiler.with_cache(Arc::clone(&cache));
+                let pruner = PerfAwarePruner::new(&profiler, &accuracy);
+                for backend in all_six_backends() {
+                    let budgets = [0.3, 0.5, 0.7, 0.9, 1.0];
+                    assert_greedy_matches_map(&pruner, backend.as_ref(), net, &budgets);
+                }
+            }
+        }
+    }
+
+    /// The table greedy returns the keep-map loops' plans bit for bit.
+    #[test]
+    fn the_table_greedy_equals_the_keep_map_greedy() {
+        for net in [tiny_net(), testkit::micro_net(), testkit::ragged_net()] {
+            assert_greedy_matches_map_everywhere(&net);
+        }
+        // The wide net's 64 layers sum their loss in label order, which is
+        // not network order ("W.L10" < "W.L2"); tuned ACL Direct gives them
+        // ladders long enough for that to change a plan. Under a model that
+        // charges no accuracy, every move costs the 1e-9 floor and the
+        // identical layers tie exactly, so the first in network order must
+        // win. The keep-map loop costs O(layers³) per plan, so here one
+        // board and two backends stand in for the ignored test below.
+        let wide = testkit::wide_net();
+        let profiler = LayerProfiler::noiseless(&Device::mali_g72_hikey970())
+            .with_cache(Arc::new(LatencyCache::new()));
+        for accuracy in [
+            AccuracyModel::for_network(&wide),
+            AccuracyModel::new(&wide, 0.76, 0.0),
+        ] {
+            let pruner = PerfAwarePruner::new(&profiler, &accuracy);
+            let backends = all_six_backends();
+            for backend in [&backends[0], &backends[2]] {
+                assert_greedy_matches_map(&pruner, backend.as_ref(), &wide, &[0.5, 0.9]);
+            }
+        }
+    }
+
+    /// The wide net on every board, backend, profiler, budget and
+    /// objective: ~100 s in a debug build, ~16 s in release.
+    #[test]
+    #[ignore = "the keep-map oracle is slow on 64 layers; run in release with --include-ignored"]
+    fn the_table_greedy_equals_the_keep_map_greedy_on_the_wide_net() {
+        assert_greedy_matches_map_everywhere(&testkit::wide_net());
     }
 
     #[test]

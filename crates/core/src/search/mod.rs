@@ -17,7 +17,9 @@
 //! every ladder slot once through the shared [`LayerProfiler`] cache and
 //! tabulates its latency, energy and accuracy-loss term, so scoring a
 //! genome ([`SearchSpace::score`]) is three table sums: no cache reads,
-//! no engine runs and no fan-out. Every random-looking choice —
+//! no engine runs and no fan-out. The §V greedy
+//! ([`SearchSpace::greedy`], which [`PerfAwarePruner`] runs) walks the
+//! same table. Every random-looking choice —
 //! tie-breaking, parent selection, mutation — is a splitmix64 hash of
 //! `(seed, position)` with no RNG state and no clocks, so results are a
 //! pure function of `(inputs, seed)` at any `--jobs` count.
@@ -39,8 +41,27 @@ use pruneperf_profiler::LayerProfiler;
 use crate::accuracy::AccuracyModel;
 use crate::PerfAwarePruner;
 
+/// What the §V greedy ([`SearchSpace::greedy`]) trades accuracy for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// The summed per-layer median latency.
+    Latency,
+    /// The summed per-layer modelled energy.
+    Energy,
+}
+
+impl Objective {
+    /// The wire and CLI name.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Objective::Latency => "latency",
+            Objective::Energy => "energy",
+        }
+    }
+}
+
 /// One ladder slot's share of each objective.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SlotScore {
     latency_ms: f64,
     energy_mj: f64,
@@ -54,7 +75,7 @@ struct SlotScore {
 /// count) with the unpruned channel count appended when the staircase did
 /// not already surface it. A *genome* is one ladder index per layer; the
 /// unpruned network is [`SearchSpace::full_genome`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     layers: Vec<(String, Vec<(usize, f64)>)>,
     /// Per layer and ladder slot: the measured median, the energy and
@@ -199,15 +220,84 @@ impl SearchSpace {
         let slot = |i: usize| &self.scores[i][genome[i]];
         let latency_ms: f64 = (0..genome.len()).map(|i| slot(i).latency_ms).sum();
         let energy_mj: f64 = (0..genome.len()).map(|i| slot(i).energy_mj).sum();
-        let loss = self
-            .label_order
-            .iter()
-            .fold(0.0, |loss, &i| loss + slot(i).loss);
         ParetoPoint {
             latency_ms,
             energy_mj,
-            accuracy: (self.base_accuracy - loss).max(0.0),
+            accuracy: self.accuracy(genome),
         }
+    }
+
+    /// A genome's accuracy: the loss summed in label order, as
+    /// [`AccuracyModel::accuracy_with`] sums it.
+    fn accuracy(&self, genome: &[usize]) -> f64 {
+        let loss = self
+            .label_order
+            .iter()
+            .fold(0.0, |loss, &i| loss + self.scores[i][genome[i]].loss);
+        (self.base_accuracy - loss).max(0.0)
+    }
+
+    /// The paper's §V greedy on the slot table. From the unpruned
+    /// genome, it moves one layer per step to the highest lower slot that
+    /// is strictly cheaper in `objective`, choosing the move that saves
+    /// the most per unit of accuracy lost, until the running total is at
+    /// most `budget_fraction` of the unpruned one or no layer can move.
+    ///
+    /// Returns the genome and its point. A latency plan reports the
+    /// running total as its latency; everything else is summed as
+    /// [`SearchSpace::score`] sums it. Layers are scanned in network
+    /// order and a later one wins only with a strictly better ratio.
+    /// Served and recorded plans depend on these float and tie rules
+    /// bit for bit (DESIGN §15.4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget_fraction` is not in `(0, 1]`.
+    pub fn greedy(&self, objective: Objective, budget_fraction: f64) -> (Vec<usize>, ParetoPoint) {
+        assert!(
+            budget_fraction > 0.0 && budget_fraction <= 1.0,
+            "budget fraction must be in (0, 1]"
+        );
+        let cost = |layer: usize, slot: usize| {
+            let score = &self.scores[layer][slot];
+            match objective {
+                Objective::Latency => score.latency_ms,
+                Objective::Energy => score.energy_mj,
+            }
+        };
+        let mut genome = self.full_genome();
+        let mut total: f64 = genome.iter().enumerate().map(|(l, &s)| cost(l, s)).sum();
+        let budget = total * budget_fraction;
+        let mut accuracy = self.accuracy(&genome);
+        while total > budget {
+            // (layer, slot, saved, accuracy lost) of the best move so far.
+            let mut best: Option<(usize, usize, f64, f64)> = None;
+            for layer in 0..genome.len() {
+                let current = genome[layer];
+                let from = cost(layer, current);
+                let Some(to) = (0..current).rev().find(|&s| cost(layer, s) < from) else {
+                    continue;
+                };
+                genome[layer] = to;
+                let lost = (accuracy - self.accuracy(&genome)).max(1e-9);
+                genome[layer] = current;
+                let saved = from - cost(layer, to);
+                if best.is_none_or(|(_, _, s, l)| saved / lost > s / l) {
+                    best = Some((layer, to, saved, lost));
+                }
+            }
+            let Some((layer, to, saved, _)) = best else {
+                break; // no layer can get cheaper
+            };
+            genome[layer] = to;
+            total -= saved;
+            accuracy = self.accuracy(&genome);
+        }
+        let mut point = self.score(&genome);
+        if objective == Objective::Latency {
+            point.latency_ms = total;
+        }
+        (genome, point)
     }
 
     /// Every genome in the cross product, odometer order.

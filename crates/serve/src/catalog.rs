@@ -13,12 +13,47 @@ pub type Entry<T> = (&'static str, fn() -> T);
 
 /// The boards by CLI short name, in catalog order. A board's position
 /// here is its routing slot ([`crate::admission::worker_for_device`]).
-const DEVICES: [Entry<Device>; 4] = [
+pub(crate) const DEVICES: [Entry<Device>; 4] = [
     ("hikey970", Device::mali_g72_hikey970),
     ("odroidxu4", Device::mali_t628_odroidxu4),
     ("tx2", Device::jetson_tx2),
     ("nano", Device::jetson_nano),
 ];
+
+/// The backends by wire/CLI short name, in catalog order.
+pub(crate) const BACKENDS: [Entry<Box<dyn ConvBackend>>; 6] = [
+    ("acl-gemm", || Box::new(AclGemm::new())),
+    ("acl-direct", || Box::new(AclDirect::new())),
+    ("acl-direct-tuned", || Box::new(AclDirectTuned::new())),
+    ("acl-auto", || Box::new(AclAuto::new())),
+    ("cudnn", || Box::new(Cudnn::new())),
+    ("tvm", || Box::new(Tvm::new())),
+];
+
+/// The networks by wire/CLI short name, in `pruneperf networks` order.
+/// Positions in this table, the board table and the backend table name
+/// the planner's prepared slots.
+pub const NETWORKS: [Entry<Network>; 4] = [
+    ("resnet50", resnet50),
+    ("vgg16", vgg16),
+    ("alexnet", alexnet),
+    ("mobilenetv1", mobilenet_v1),
+];
+
+/// A short name's position in `table`.
+///
+/// # Errors
+///
+/// Returns a user-facing message listing the table's names.
+fn index_in<T>(table: &[Entry<T>], what: &str, name: &str) -> Result<usize, String> {
+    table
+        .iter()
+        .position(|(short, _)| *short == name)
+        .ok_or_else(|| {
+            let names: Vec<&str> = table.iter().map(|(short, _)| *short).collect();
+            format!("unknown {what} '{name}' (expected {})", names.join(" | "))
+        })
+}
 
 /// The CLI short names, paired with their devices.
 pub fn named_devices() -> [(&'static str, Device); 4] {
@@ -26,14 +61,18 @@ pub fn named_devices() -> [(&'static str, Device); 4] {
 }
 
 /// A device short name's position in the catalog, resolving the
-/// paper's GPU aliases (`g72`, `t628`); `None` for an unknown name.
-pub(crate) fn device_index(name: &str) -> Option<usize> {
+/// paper's GPU aliases (`g72`, `t628`).
+///
+/// # Errors
+///
+/// Returns a user-facing message listing the known names.
+pub(crate) fn device_index(name: &str) -> Result<usize, String> {
     let resolved = match name {
         "g72" => "hikey970",
         "t628" => "odroidxu4",
         other => other,
     };
-    DEVICES.iter().position(|(short, _)| *short == resolved)
+    index_in(&DEVICES, "device", resolved)
 }
 
 /// Resolves a device short name (with the paper's GPU aliases).
@@ -42,11 +81,17 @@ pub(crate) fn device_index(name: &str) -> Option<usize> {
 ///
 /// Returns a user-facing message listing the known names.
 pub fn device_by_name(name: &str) -> Result<Device, String> {
-    let ix = device_index(name).ok_or_else(|| {
-        format!("unknown device '{name}' (expected hikey970 | odroidxu4 | tx2 | nano)")
-    })?;
-    let (_, build) = DEVICES[ix];
+    let (_, build) = DEVICES[device_index(name)?];
     Ok(build())
+}
+
+/// A backend short name's position in [`BACKENDS`].
+///
+/// # Errors
+///
+/// Returns a user-facing message listing the known names.
+pub(crate) fn backend_index(name: &str) -> Result<usize, String> {
+    index_in(&BACKENDS, "backend", name)
 }
 
 /// Resolves a backend short name.
@@ -55,28 +100,9 @@ pub fn device_by_name(name: &str) -> Result<Device, String> {
 ///
 /// Returns a user-facing message listing the known names.
 pub fn backend_by_name(name: &str) -> Result<Box<dyn ConvBackend>, String> {
-    match name {
-        "acl-gemm" => Ok(Box::new(AclGemm::new())),
-        "acl-direct" => Ok(Box::new(AclDirect::new())),
-        "acl-direct-tuned" => Ok(Box::new(AclDirectTuned::new())),
-        "acl-auto" => Ok(Box::new(AclAuto::new())),
-        "cudnn" => Ok(Box::new(Cudnn::new())),
-        "tvm" => Ok(Box::new(Tvm::new())),
-        other => Err(format!(
-            "unknown backend '{other}' (expected acl-gemm | acl-direct | acl-direct-tuned | acl-auto | cudnn | tvm)"
-        )),
-    }
+    let (_, build) = BACKENDS[backend_index(name)?];
+    Ok(build())
 }
-
-/// The networks by wire/CLI short name, in `pruneperf networks` order.
-/// A network's position here is its slot in the planner's prepared
-/// state.
-pub const NETWORKS: [Entry<Network>; 4] = [
-    ("resnet50", resnet50),
-    ("vgg16", vgg16),
-    ("alexnet", alexnet),
-    ("mobilenetv1", mobilenet_v1),
-];
 
 /// A network short name's position in [`NETWORKS`].
 ///
@@ -84,12 +110,7 @@ pub const NETWORKS: [Entry<Network>; 4] = [
 ///
 /// Returns a user-facing message listing the known names.
 pub(crate) fn network_index(name: &str) -> Result<usize, String> {
-    NETWORKS
-        .iter()
-        .position(|(short, _)| *short == name)
-        .ok_or_else(|| {
-            format!("unknown network '{name}' (expected resnet50 | vgg16 | alexnet | mobilenetv1)")
-        })
+    index_in(&NETWORKS, "network", name)
 }
 
 /// Resolves a network short name.

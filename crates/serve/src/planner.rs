@@ -3,34 +3,42 @@
 //! One [`PlanService`] lives for the whole daemon (or replay run): it
 //! owns the shared [`LatencyCache`] — **bounded**, because a
 //! long-running process must not grow its memo tables without limit —
-//! the [`Stats`] registry the `--stats` side channel snapshots, and one
-//! prepared network and [`AccuracyModel`] per catalog network, built on
-//! the first request for it and read by every later one.
+//! the [`Stats`] registry the `--stats` side channel snapshots, one
+//! prepared network and [`AccuracyModel`] per catalog network, and one
+//! prepared [`SearchSpace`] per catalog (network, device, backend)
+//! triple. Each is built on the first request that needs it and read by
+//! every later one, so a warm request runs only the §V greedy over its
+//! space's slot table and the verification run.
 //! Request handling is pure with respect to that shared state's
 //! *responses*: the cache only short-circuits bit-identical
-//! recomputations, a prepared model equals a fresh build, and the
-//! response body carries no cache counters, so the bytes a request
+//! recomputations, a prepared model or space equals a fresh build, and
+//! the response body carries no cache counters, so the bytes a request
 //! produces do not depend on which requests ran before it. That is the
 //! property replay mode's `--jobs` invariance rests on.
 
 use std::sync::{Arc, OnceLock};
 
 use pruneperf_core::accuracy::AccuracyModel;
-use pruneperf_core::PerfAwarePruner;
+use pruneperf_core::search::SearchSpace;
 use pruneperf_models::Network;
 use pruneperf_profiler::{
     FaultPlan, FaultyBackend, LatencyCache, LayerProfiler, NetworkRunner, Stats,
 };
 
-use crate::catalog;
-use crate::protocol::{FailedLayerInfo, PlanBody, PlanRequest, PlanResponse, RequestObjective};
+use crate::catalog::{self, BACKENDS, DEVICES, NETWORKS};
+use crate::protocol::{FailedLayerInfo, PlanBody, PlanRequest, PlanResponse};
+
+/// One prepared space per catalog (network, device, backend) triple.
+const SPACES: usize = NETWORKS.len() * DEVICES.len() * BACKENDS.len();
 
 /// The planning core shared by the live server, replay mode and loadgen.
 pub struct PlanService {
     cache: Arc<LatencyCache>,
     stats: Arc<Stats>,
     /// One slot per entry of [`catalog::NETWORKS`], filled on first use.
-    prepared: [OnceLock<(Network, AccuracyModel)>; catalog::NETWORKS.len()],
+    prepared: [OnceLock<(Network, AccuracyModel)>; NETWORKS.len()],
+    /// One slot per catalog triple, filled on first use.
+    spaces: [OnceLock<SearchSpace>; SPACES],
 }
 
 impl PlanService {
@@ -50,6 +58,7 @@ impl PlanService {
             cache,
             stats: Arc::new(Stats::new()),
             prepared: Default::default(),
+            spaces: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
@@ -69,21 +78,32 @@ impl PlanService {
         self.stats.snapshot_with_cache(&self.cache).render_json()
     }
 
-    /// The named catalog network and its accuracy model, built on the
-    /// first call for that network and shared by every later one.
+    /// The catalog network at `network` and its accuracy model, built on
+    /// the first call for that network and shared by every later one.
     /// Concurrent first calls build it once; the others wait for it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`catalog::network_by_name`]'s message for an unknown name.
-    pub(crate) fn prepared(&self, network: &str) -> Result<&(Network, AccuracyModel), String> {
-        let ix = catalog::network_index(network)?;
-        Ok(self.prepared[ix].get_or_init(|| {
-            let (_, build) = catalog::NETWORKS[ix];
+    pub(crate) fn prepared(&self, network: usize) -> &(Network, AccuracyModel) {
+        self.prepared[network].get_or_init(|| {
+            let (_, build) = NETWORKS[network];
             let network = build();
             let accuracy = AccuracyModel::for_network(&network);
             (network, accuracy)
-        }))
+        })
+    }
+
+    /// The candidate space of the catalog triple at these table
+    /// positions, built on the first call through the service's noiseless
+    /// profiler and bounded cache, and shared by every later one.
+    /// Concurrent first calls build it once; the others wait for it.
+    pub(crate) fn space(&self, network: usize, device: usize, backend: usize) -> &SearchSpace {
+        let slot = (network * DEVICES.len() + device) * BACKENDS.len() + backend;
+        self.spaces[slot].get_or_init(|| {
+            let (network, accuracy) = self.prepared(network);
+            let profiler = LayerProfiler::noiseless(&(DEVICES[device].1)())
+                .with_cache(Arc::clone(&self.cache))
+                .with_stats(Arc::clone(&self.stats));
+            let backend = (BACKENDS[backend].1)();
+            SearchSpace::build_for(&profiler, accuracy, backend.as_ref(), network)
+        })
     }
 
     /// Computes the response for one admitted request.
@@ -93,40 +113,42 @@ impl PlanService {
     /// layers to permanent faults becomes a *degraded* Ok response (the
     /// PR-4 fallible path), never a dropped request.
     pub fn handle(&self, req: &PlanRequest) -> PlanResponse {
-        let device = match catalog::device_by_name(&req.device) {
-            Ok(d) => d,
-            Err(e) => return PlanResponse::Error(e),
-        };
-        let backend = match catalog::backend_by_name(&req.backend) {
-            Ok(b) => b,
-            Err(e) => return PlanResponse::Error(e),
-        };
-        let (network, accuracy) = match self.prepared(&req.network) {
-            Ok(prepared) => prepared,
-            Err(e) => return PlanResponse::Error(e),
-        };
-        // The pruner asserts on the budget; turn that into a 400 here.
-        if !(req.budget > 0.0 && req.budget <= 1.0) {
-            return PlanResponse::Error(format!("budget must be in (0, 1], got {}", req.budget));
+        match self.plan_body(req) {
+            Ok(body) => PlanResponse::Ok(body),
+            Err(e) => PlanResponse::Error(e),
         }
+    }
 
-        let profiler = LayerProfiler::noiseless(&device)
-            .with_cache(Arc::clone(&self.cache))
-            .with_stats(Arc::clone(&self.stats));
-        let pruner = PerfAwarePruner::new(&profiler, accuracy);
-        let plan = match req.objective {
-            RequestObjective::Latency => pruner.prune_to_latency(&backend, network, req.budget),
-            RequestObjective::Energy => pruner.prune_to_energy(&backend, network, req.budget),
-        };
+    /// [`PlanService::handle`]'s plan, or the refusal message.
+    fn plan_body(&self, req: &PlanRequest) -> Result<PlanBody, String> {
+        let d = catalog::device_index(&req.device)?;
+        let b = catalog::backend_index(&req.backend)?;
+        let n = catalog::network_index(&req.network)?;
+        // The greedy asserts on the budget; refuse it here, before any
+        // prepared state is built.
+        if !(req.budget > 0.0 && req.budget <= 1.0) {
+            return Err(format!("budget must be in (0, 1], got {}", req.budget));
+        }
+        let space = self.space(n, d, b);
+        let (genome, point) = space.greedy(req.objective, req.budget);
+        let kept: Vec<(String, usize)> = genome
+            .iter()
+            .enumerate()
+            .map(|(i, &slot)| (space.label_of(i).to_string(), space.ladder(i)[slot].0))
+            .collect();
 
         // Verification pass: run the pruned network end to end through
         // the fallible path. With a fault seed the backend injects
         // permanent faults whose schedule is a pure function of
         // (seed, layer key) — deterministic across runs and schedules.
-        let pruned = network.sequential_with_kept(plan.kept_channels());
-        let runner = NetworkRunner::new(&device)
+        // The plan above used the clean backend, so one space serves
+        // every fault seed.
+        let (network, _) = self.prepared(n);
+        let pruned = network.sequential_with_kept(&space.kept_map(&genome));
+        let runner = NetworkRunner::new(&(DEVICES[d].1)())
             .with_cache(Arc::clone(&self.cache))
             .with_stats(Arc::clone(&self.stats));
+        let backend = (BACKENDS[b].1)();
         let partial = match req.fault_seed {
             Some(seed) => {
                 let fault = FaultPlan::new(seed).with_permanent_rate(req.fault_rate);
@@ -136,14 +158,6 @@ impl PlanService {
             None => runner.try_run(&backend, &pruned),
         };
 
-        let kept = network
-            .layers()
-            .iter()
-            .map(|l| {
-                let channels = plan.kept_for(l.label()).unwrap_or(l.c_out());
-                (l.label().to_string(), channels)
-            })
-            .collect();
         let failed = partial
             .failed()
             .iter()
@@ -153,15 +167,15 @@ impl PlanService {
                 error: f.error.clone(),
             })
             .collect();
-        PlanResponse::Ok(PlanBody {
+        Ok(PlanBody {
             network: req.network.clone(),
             device: req.device.clone(),
             backend: req.backend.clone(),
             objective: req.objective,
             budget: req.budget,
-            latency_ms: plan.latency_ms(),
-            energy_mj: plan.energy_mj(),
-            accuracy: plan.accuracy(),
+            latency_ms: point.latency_ms,
+            energy_mj: point.energy_mj,
+            accuracy: point.accuracy,
             kept,
             degraded: !partial.is_complete(),
             verified_ms: partial.report().total_ms(),
@@ -243,20 +257,58 @@ mod tests {
     #[test]
     fn each_prepared_slot_equals_a_fresh_build() {
         let service = PlanService::new(0);
-        for (name, _) in catalog::NETWORKS {
+        for (ix, (name, _)) in NETWORKS.iter().enumerate() {
             let fresh = catalog::network_by_name(name).unwrap();
-            let prepared = service.prepared(name).unwrap();
+            let prepared = service.prepared(ix);
             assert_eq!(prepared.0, fresh, "{name}");
             assert_eq!(prepared.1, AccuracyModel::for_network(&fresh), "{name}");
             assert!(
-                std::ptr::eq(prepared, service.prepared(name).unwrap()),
+                std::ptr::eq(prepared, service.prepared(ix)),
                 "{name}: later calls read the same slot"
             );
         }
-        assert_eq!(
-            service.prepared("lenet").unwrap_err(),
-            catalog::network_by_name("lenet").unwrap_err()
+    }
+
+    /// Every catalog triple's prepared space equals a fresh build, and
+    /// later calls read the same slot. The fresh build reads the service's
+    /// cache (which only short-circuits bit-identical simulations), so
+    /// the 96 cold builds are paid once.
+    #[test]
+    fn each_prepared_space_equals_a_fresh_build() {
+        let service = PlanService::new(0);
+        for (n, (network, build)) in NETWORKS.iter().enumerate() {
+            let net = build();
+            let accuracy = AccuracyModel::for_network(&net);
+            for (d, (device, board)) in DEVICES.iter().enumerate() {
+                let profiler =
+                    LayerProfiler::noiseless(&board()).with_cache(Arc::clone(service.cache()));
+                for (b, (backend, library)) in BACKENDS.iter().enumerate() {
+                    let prepared = service.space(n, d, b);
+                    let fresh =
+                        SearchSpace::build_for(&profiler, &accuracy, library().as_ref(), &net);
+                    let triple = format!("{network} / {device} / {backend}");
+                    assert!(prepared == &fresh, "{triple}");
+                    assert!(
+                        std::ptr::eq(prepared, service.space(n, d, b)),
+                        "{triple}: later calls read the same slot"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A refusal for a budget out of range builds no prepared state, even
+    /// for a known network.
+    #[test]
+    fn a_refused_budget_builds_nothing() {
+        let service = PlanService::new(0);
+        let refusal = service.handle(&req(r#"{"network":"resnet50","device":"tx2","budget":0}"#));
+        assert!(
+            matches!(&refusal, PlanResponse::Error(e) if e.contains("budget")),
+            "{refusal:?}"
         );
+        assert!(service.prepared.iter().all(|slot| slot.get().is_none()));
+        assert!(service.spaces.iter().all(|slot| slot.get().is_none()));
     }
 
     #[test]

@@ -14,24 +14,9 @@ use serde_json::from_str;
 
 use pruneperf_gpusim::json_string;
 
-/// What the client asks the planner to minimize against the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestObjective {
-    /// Latency budget: `prune_to_latency`.
-    Latency,
-    /// Energy budget: `prune_to_energy`.
-    Energy,
-}
-
-impl RequestObjective {
-    /// The wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RequestObjective::Latency => "latency",
-            RequestObjective::Energy => "energy",
-        }
-    }
-}
+/// What the client asks the planner to minimize against the budget: the
+/// objective of the §V greedy the planner runs.
+pub use pruneperf_core::search::Objective as RequestObjective;
 
 /// One plan request, parsed from a JSON object line.
 #[derive(Debug, Clone, PartialEq)]

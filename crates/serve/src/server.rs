@@ -13,28 +13,31 @@
 //! `Condvar`, not channels: the bound is load-bearing and a sender never
 //! blocks on it.
 //!
-//! Every accepted socket reads and writes under a fixed 2 s timeout, so
-//! a peer that connects and sends nothing costs the accept thread that
-//! long and gets a 400, instead of stalling every later connection.
+//! Every accepted socket must deliver its whole request within 2 s of
+//! being accepted, and each write is bounded by the same 2 s. A peer
+//! that sends nothing, or drips a byte at a time, costs the accept
+//! thread at most that long and gets a 400, instead of stalling every
+//! later connection.
 //! Everything past the accept loop is log-and-drop: a peer that
 //! vanishes mid-write surfaces as an `Err` from
 //! [`crate::http::try_respond`] and costs one response, never a worker
 //! thread.
 
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::admission::worker_for_device;
 use crate::http;
 use crate::planner::PlanService;
 use crate::protocol::{PlanRequest, PlanResponse};
 
-/// How long an accepted socket may block one read or one write.
+/// How long an accepted socket may take to deliver its whole request,
+/// and how long it may block one write.
 const PEER_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Configuration for [`Server::bind`].
@@ -266,8 +269,15 @@ fn dispatch(
     shed: &AtomicU64,
     refused: &AtomicU64,
 ) {
-    let mut reader = BufReader::new(&stream);
-    let request = match set_peer_timeouts(&stream).and_then(|()| http::read_request(&mut reader)) {
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: &stream,
+        deadline: Instant::now() + PEER_TIMEOUT,
+    });
+    let request = match stream
+        .set_write_timeout(Some(PEER_TIMEOUT))
+        .map_err(|e| format!("failed to set the socket write timeout: {e}"))
+        .and_then(|()| http::read_request(&mut reader))
+    {
         Ok(r) => r,
         Err(e) => {
             refused.fetch_add(1, Ordering::Relaxed);
@@ -321,12 +331,28 @@ fn dispatch(
     }
 }
 
-/// Bounds every later read and write on `stream` by [`PEER_TIMEOUT`].
-fn set_peer_timeouts(stream: &TcpStream) -> Result<(), String> {
-    stream
-        .set_read_timeout(Some(PEER_TIMEOUT))
-        .and_then(|()| stream.set_write_timeout(Some(PEER_TIMEOUT)))
-        .map_err(|e| format!("failed to set socket timeouts: {e}"))
+/// Reads a socket under one deadline for the whole request: each read
+/// may block only for the time left, and once none is left the reader
+/// fails with [`io::ErrorKind::TimedOut`] itself (a zero socket timeout
+/// is an error, not "no wait").
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request not received in time",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
 }
 
 /// One worker: pop, plan, answer, until [`Job::Stop`].
@@ -451,6 +477,53 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_drip_peer_does_not_stall_later_requests() {
+        let server = Server::bind(ServerOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            max_requests: Some(2),
+            ..ServerOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = thread::spawn(move || server.run().unwrap());
+
+        // Connected first, so accepted first: a request line, then one
+        // header byte every 300 ms for 6 s, each well inside a per-read
+        // timeout. It stops early once the server hangs up.
+        let mut drip = TcpStream::connect(addr).unwrap();
+        drip.write_all(b"POST /plan HTTP/1.1\r\n").unwrap();
+        let dripper = {
+            let mut drip = drip.try_clone().unwrap();
+            thread::spawn(move || {
+                for _ in 0..20 {
+                    thread::sleep(Duration::from_millis(300));
+                    if drip.write_all(b"X").is_err() {
+                        return;
+                    }
+                }
+            })
+        };
+        thread::sleep(Duration::from_millis(100));
+        let (tx, rx) = mpsc::sync_channel(1);
+        let client = thread::spawn(move || {
+            let _ = tx.send(roundtrip(addr, "GET /stats HTTP/1.1\r\n\r\n"));
+        });
+        let stats = rx
+            .recv_timeout(Duration::from_secs(4))
+            .expect("a slow-drip peer stalled every later connection");
+        assert!(stats.starts_with("HTTP/1.1 200 OK\r\n"), "{stats}");
+
+        let mut refusal = String::new();
+        drip.read_to_string(&mut refusal).unwrap();
+        assert!(refusal.starts_with("HTTP/1.1 400 "), "{refusal}");
+        client.join().unwrap();
+        dripper.join().unwrap();
+        let summary = handle.join().unwrap();
+        assert_eq!((summary.accepted, summary.refused), (2, 1));
+    }
+
+    #[test]
     fn racing_first_use_of_each_network_answers_like_a_fresh_service() {
         // Each board with the backend the paper ran on it.
         const BOARDS: [(&str, &str); 4] = [
@@ -459,10 +532,19 @@ mod tests {
             ("tx2", "cudnn"),
             ("nano", "cudnn"),
         ];
+        // Then four clients at once on one triple no board above used:
+        // one prepared space answers every objective, budget and fault
+        // seed (and the board's alias).
+        const ONE_TRIPLE: [&str; 4] = [
+            r#""budget":0.8"#,
+            r#""objective":"energy","budget":0.6"#,
+            r#""budget":0.7,"fault_seed":3,"fault_rate":0.5"#,
+            r#""objective":"energy","budget":0.9,"fault_seed":5,"fault_rate":0.2"#,
+        ];
         let server = Server::bind(ServerOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            max_requests: Some(NETWORKS.len() * BOARDS.len()),
+            max_requests: Some(NETWORKS.len() * BOARDS.len() + ONE_TRIPLE.len()),
             ..ServerOptions::default()
         })
         .unwrap();
@@ -473,7 +555,7 @@ mod tests {
         // order from a common start: both workers reach each network's
         // empty slot together.
         let start = Barrier::new(BOARDS.len());
-        let answers: Vec<(String, String)> = thread::scope(|scope| {
+        let mut answers: Vec<(String, String)> = thread::scope(|scope| {
             let clients: Vec<_> = BOARDS
                 .iter()
                 .map(|(device, backend)| {
@@ -497,6 +579,25 @@ mod tests {
                 .into_iter()
                 .flat_map(|c| c.join().unwrap())
                 .collect()
+        });
+        let start = Barrier::new(ONE_TRIPLE.len());
+        thread::scope(|scope| {
+            let clients: Vec<_> = ONE_TRIPLE
+                .iter()
+                .zip(["odroidxu4", "t628", "odroidxu4", "t628"])
+                .map(|(fields, device)| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let body = format!(
+                            r#"{{"network":"vgg16","device":"{device}","backend":"acl-direct",{fields}}}"#
+                        );
+                        start.wait();
+                        let answer = roundtrip(addr, &post(&body));
+                        (body, answer)
+                    })
+                })
+                .collect();
+            answers.extend(clients.into_iter().map(|c| c.join().unwrap()));
         });
 
         for (body, answer) in &answers {

@@ -40,6 +40,8 @@ cargo run --release -q -- chaos --seed 4 --faults 0.5 > /dev/null
 
 echo "== search (differential suite + determinism + persist/resume) =="
 cargo test -q --release -p pruneperf-core --test search_differential
+# --include-ignored adds the §V greedy's differential on the 64-layer wide net
+cargo test -q --release -p pruneperf-core --lib pruner -- --include-ignored
 # --include-ignored adds the check of all 32 recorded ResNet-50 fronts
 cargo test -q --release --test search_cli -- --include-ignored
 cargo run --release -q -- search --network alexnet --json --jobs 1 > /tmp/pruneperf-search-seq.json
@@ -77,6 +79,8 @@ cargo run --release -q -- serve --replay tests/goldens/serve_trace.jsonl \
   --workers 2 --queue 1 --service-ms 5 --jobs 8 > /tmp/pruneperf-serve-par.jsonl
 cmp /tmp/pruneperf-serve-seq.jsonl /tmp/pruneperf-serve-par.jsonl
 cmp /tmp/pruneperf-serve-seq.jsonl tests/goldens/serve_replay.golden.jsonl
+# --include-ignored adds the check of all 1,440 recorded plan bodies
+cargo test -q --release --test serve_replay -- --include-ignored
 cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 1 > /tmp/pruneperf-loadgen-seq.txt
 cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 8 > /tmp/pruneperf-loadgen-par.txt
 cmp /tmp/pruneperf-loadgen-seq.txt /tmp/pruneperf-loadgen-par.txt

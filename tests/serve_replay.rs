@@ -8,12 +8,18 @@
 //! so a change to admission or routing shows as a golden diff.
 //! Regenerate with `PRUNEPERF_UPDATE_GOLDENS=1 cargo test --test
 //! serve_replay` after an intentional protocol change.
+//!
+//! The ignored `every_recorded_plan_body_matches_its_digest` answers all
+//! 1,440 plan keys the benchmark records; run it in release with
+//! `--include-ignored`.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use pruneperf::cli::run_cli;
+use pruneperf_backends::hash::fnv1a;
 use pruneperf_serve::http::MAX_BODY_BYTES;
+use pruneperf_serve::{PlanRequest, PlanService};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -128,4 +134,38 @@ fn a_deeply_nested_line_gets_an_error_response_in_place() {
         "{stdout}"
     );
     assert!(lines[2].contains("\"status\":\"ok\""), "{stdout}");
+}
+
+/// A response body without its `"id":N,` field, which depends on arrival
+/// order rather than on the request: the form the benchmark digests.
+fn strip_id(body: &str) -> String {
+    let Some(at) = body.find("\"id\":") else {
+        return body.to_string();
+    };
+    let rest = &body[at + 5..];
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let tail = rest[digits..].strip_prefix(',').unwrap_or(&rest[digits..]);
+    format!("{}{tail}", &body[..at])
+}
+
+/// Every plan body `benchmark/expected/serve.tsv` records (an FNV-1a
+/// digest of the id-stripped body, a tab, the request), answered in file
+/// order by one daemon-sized service, so later rows read spaces and cache
+/// entries the earlier ones prepared.
+#[test]
+#[ignore = "answers 1,440 requests; run in release with --include-ignored"]
+fn every_recorded_plan_body_matches_its_digest() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benchmark/expected/serve.tsv");
+    let rows = std::fs::read_to_string(&path).expect("read the recorded plan digests");
+    let service = PlanService::new(4096);
+    let mut checked = 0;
+    for row in rows.lines() {
+        let (digest, body) = row.split_once('\t').expect("digest<TAB>request");
+        let want = u64::from_str_radix(digest, 16).expect("hex digest");
+        let request = PlanRequest::parse(body).expect("recorded requests parse");
+        let got = fnv1a(strip_id(&service.handle(&request).render(0, false)).as_bytes());
+        assert_eq!(got, want, "{body}");
+        checked += 1;
+    }
+    assert_eq!(checked, 1440, "every recorded row");
 }
