@@ -509,140 +509,106 @@ pub fn verify_footprint(net: &FullNetwork, device: &Device) -> Vec<Diagnostic> {
     }
 }
 
-/// NV004: every keep targets an existing layer and lies within `1..=C`.
+/// Audits one [`PruningPlan`] end to end: keep validity (`NV004`) and the
+/// coupled deployment it implies (`NV005`). A location is formatted only
+/// for a finding.
 ///
-/// Findings come out in label order. One map lookup per layer finds the
-/// bad keeps; labels are unique ([`Network::new`]), so the plan names a
-/// layer the network lacks exactly when fewer layers match than the map
-/// holds, and only then are its keys scanned. A location is formatted
-/// only for a finding.
-pub fn audit_plan_keeps(
-    producer: &str,
-    network: &Network,
-    kept: &HashMap<String, usize>,
-) -> Vec<Diagnostic> {
-    let loc = |label: &str| format!("{producer} / {} :: {label}", network.name());
+/// `NV004`: every keep targets a layer of `network` and lies within
+/// `1..=C`. The plan's `(label, kept)` pairs are walked in order: pair *i*
+/// naming the network's layer *i*, as in every plan the pruners and the
+/// search build, is matched in O(1), and any other label is looked up.
+/// Findings come out in label order, whatever order the plan lists.
+///
+/// `NV005`: [`Network::coupled_channels`] over the plan's counts in
+/// network order (a layer the plan does not name keeps its width) applies
+/// paired input-side pruning. [`Network::sequential_with_kept`] deploys
+/// through that same walk, so `NV005` checks the deploying code without
+/// building a network per plan.
+pub fn audit_pruning_plan(plan: &PruningPlan, network: &Network) -> Vec<Diagnostic> {
+    let loc = |label: &str| {
+        let (policy, device) = (plan.policy(), plan.device());
+        format!("{policy} @ {device} / {} :: {label}", network.name())
+    };
+    let layers = network.layers();
+    let mut counts: Vec<usize> = layers.iter().map(ConvLayerSpec::c_out).collect();
     let mut found: Vec<(&str, Diagnostic)> = Vec::new();
-    let mut matched = 0;
-    for layer in network.layers() {
-        if let Some(&keep) = kept.get(layer.label()) {
-            matched += 1;
-            if keep == 0 || keep > layer.c_out() {
-                let label = layer.label();
-                found.push((
-                    label,
-                    err(
-                        rules::NV004,
-                        &loc(label),
-                        format!(
-                            "keep {keep} outside 1..={} for layer '{label}'",
-                            layer.c_out()
-                        ),
-                    )
-                    .with_hint("prune_output_channels_to targets must stay within 1..=C"),
-                ));
-            }
-        }
-    }
-    if matched < kept.len() {
-        let unknown = kept.keys().filter(|label| network.layer(label).is_none());
-        found.extend(unknown.map(|label| {
+    for (i, (label, keep)) in plan.keeps().enumerate() {
+        let matched = match layers.get(i) {
+            Some(layer) if layer.label() == label => Some((i, layer)),
+            _ => layers.iter().enumerate().find(|(_, l)| l.label() == label),
+        };
+        let Some((at, layer)) = matched else {
             let diag = err(
                 rules::NV004,
                 &loc(label),
                 format!("plan prunes unknown layer '{label}'"),
             );
-            (
-                label.as_str(),
+            found.push((
+                label,
                 diag.with_hint("keeps must target catalog layer labels"),
-            )
-        }));
+            ));
+            continue;
+        };
+        counts[at] = keep;
+        if keep == 0 || keep > layer.c_out() {
+            let diag = err(
+                rules::NV004,
+                &loc(label),
+                format!(
+                    "keep {keep} outside 1..={} for layer '{label}'",
+                    layer.c_out()
+                ),
+            );
+            let hint = "prune_output_channels_to targets must stay within 1..=C";
+            found.push((label, diag.with_hint(hint)));
+        }
     }
-    // Canonical order: HashMap iteration is nondeterministic.
     found.sort_by(|a, b| a.0.cmp(b.0));
-    found.into_iter().map(|(_, diag)| diag).collect()
+    let mut out: Vec<Diagnostic> = found.into_iter().map(|(_, diag)| diag).collect();
+    let coupled = network.coupled_channels(&counts);
+    out.extend(audit_coupling(loc, network, &counts, coupled));
+    out
 }
 
-/// NV005: a coupled (deployed) network must apply paired input-side
-/// pruning — every consumer's input channels equal its producer's kept
-/// output channels, depthwise layers follow their input, and unpruned
-/// layers keep their catalog width. Every layer is checked; a location is
-/// formatted only for a finding.
-pub fn audit_coupled_network(
-    producer: &str,
+/// `NV005`: a deployment, given as each layer's `(c_in, c_out)` in network
+/// order, applies paired input-side pruning to the per-layer keep
+/// `counts`: every consumer's input channels equal its producer's output
+/// channels, depthwise layers follow their input, and every other layer
+/// emits its keep. A layer the deployment lacks counts as 0 channels.
+fn audit_coupling(
+    loc: impl Fn(&str) -> String,
     network: &Network,
-    kept: &HashMap<String, usize>,
-    coupled: &Network,
+    counts: &[usize],
+    deployed: impl IntoIterator<Item = (usize, usize)>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if coupled.len() != network.len() {
-        out.push(err(
-            rules::NV005,
-            &format!("{producer} / {}", network.name()),
-            format!(
-                "coupled network has {} layers, catalog has {}",
-                coupled.len(),
-                network.len()
-            ),
-        ));
-        return out;
-    }
+    let mut deployed = deployed.into_iter();
     let mut prev_out: Option<usize> = None;
-    for (orig, layer) in network.layers().iter().zip(coupled.layers()) {
-        let loc = || format!("{producer} / {} :: {}", network.name(), orig.label());
+    for (orig, &kept) in network.layers().iter().zip(counts) {
+        let (c_in, c_out) = deployed.next().unwrap_or_default();
         let expect_in = prev_out.unwrap_or_else(|| orig.c_in());
-        if layer.c_in() != expect_in {
+        if c_in != expect_in {
             out.push(
                 err(
                     rules::NV005,
-                    &loc(),
+                    &loc(orig.label()),
                     format!(
-                        "consumer keeps {} input channels but its producer was pruned to {}",
-                        layer.c_in(),
-                        expect_in
+                        "consumer keeps {c_in} input channels but its producer was pruned to \
+                         {expect_in}"
                     ),
                 )
                 .with_hint("apply the paired input-side prune downstream (§II-B)"),
             );
         }
-        let expect_out = if orig.is_depthwise() {
-            expect_in
-        } else {
-            kept.get(orig.label())
-                .copied()
-                .unwrap_or_else(|| orig.c_out())
-        };
-        if layer.c_out() != expect_out {
+        let expect_out = if orig.is_depthwise() { expect_in } else { kept };
+        if c_out != expect_out {
             out.push(err(
                 rules::NV005,
-                &loc(),
-                format!(
-                    "layer emits {} channels but the plan keeps {expect_out}",
-                    layer.c_out()
-                ),
+                &loc(orig.label()),
+                format!("layer emits {c_out} channels but the plan keeps {expect_out}"),
             ));
         }
-        prev_out = Some(layer.c_out());
-    }
-    out
-}
-
-/// Audits one [`PruningPlan`] end to end: keep validity (NV004) and the
-/// coupled deployment it implies (NV005). A plan that keeps 0 channels
-/// of a dense layer has no deployment to build (NV004 reports the keep),
-/// so only then is NV005 skipped.
-pub fn audit_pruning_plan(plan: &PruningPlan, network: &Network) -> Vec<Diagnostic> {
-    let producer = format!("{} @ {}", plan.policy(), plan.device());
-    let kept = plan.kept_channels();
-    let mut out = audit_plan_keeps(&producer, network, kept);
-    let undeployable = !out.is_empty()
-        && network
-            .layers()
-            .iter()
-            .any(|l| !l.is_depthwise() && kept.get(l.label()) == Some(&0));
-    if !undeployable {
-        let coupled = network.sequential_with_kept(kept);
-        out.extend(audit_coupled_network(&producer, network, kept, &coupled));
+        prev_out = Some(c_out);
     }
     out
 }
@@ -768,6 +734,7 @@ pub fn audit_network_grid(jobs: usize) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pruneperf_core::search::{search, SearchAlgo, SearchConfig};
 
     #[test]
     fn stock_networks_are_clean() {
@@ -916,14 +883,31 @@ mod tests {
         );
     }
 
+    /// A plan read from JSON, with its keeps in the order given.
+    fn plan_from_json(
+        (policy, device, network): (&str, &str, &str),
+        keeps: &[(&str, usize)],
+    ) -> PruningPlan {
+        let kept: Vec<String> = keeps.iter().map(|(l, k)| format!("\"{l}\": {k}")).collect();
+        let json = format!(
+            r#"{{"policy": "{policy}", "backend": "acl-gemm", "device": "{device}",
+                "network": "{network}", "latency_ms": 1.5, "energy_mj": 2.5, "accuracy": 0.5,
+                "kept": {{{}}}}}"#,
+            kept.join(", ")
+        );
+        serde_json::from_str(&json).expect("plan parses")
+    }
+
     #[test]
     fn nv004_invalid_keeps_are_caught() {
         let network = alexnet();
-        let first = network.layers()[0].label().to_string();
-        let mut kept = HashMap::new();
-        kept.insert(first.clone(), 0usize); // below 1
-        kept.insert("AlexNet.L99".to_string(), 4usize); // unknown layer
-        let diags = audit_plan_keeps("test", &network, &kept);
+        let first = network.layers()[0].label();
+        // Below 1, and an unknown layer.
+        let plan = plan_from_json(
+            ("test", "HiKey 970", "AlexNet"),
+            &[(first, 0), ("AlexNet.L99", 4)],
+        );
+        let diags = audit_pruning_plan(&plan, &network);
         assert!(
             diags
                 .iter()
@@ -938,10 +922,14 @@ mod tests {
         );
         // Over-C keeps are rejected too.
         let c = network.layers()[0].c_out();
-        let mut kept = HashMap::new();
-        kept.insert(first, c + 1);
-        let diags = audit_plan_keeps("test", &network, &kept);
+        let plan = plan_from_json(("test", "HiKey 970", "AlexNet"), &[(first, c + 1)]);
+        let diags = audit_pruning_plan(&plan, &network);
         assert!(diags.iter().any(|d| d.rule == rules::NV004), "{diags:?}");
+    }
+
+    /// A location under the `test` producer.
+    fn test_loc(network: &Network) -> impl Fn(&str) -> String + '_ {
+        move |label| format!("test / {} :: {label}", network.name())
     }
 
     #[test]
@@ -953,21 +941,14 @@ mod tests {
                 ConvLayerSpec::new("T.L1", 1, 1, 0, 8, 16, 8, 8),
             ],
         );
-        let mut kept = HashMap::new();
-        kept.insert("T.L0".to_string(), 4usize);
+        let counts = [4, 16];
         // A naive deployment that shrinks T.L0 but leaves T.L1's inputs.
-        let naive = Network::new(
-            "Tiny (naive)",
-            vec![
-                ConvLayerSpec::new("T.L0", 3, 1, 1, 3, 4, 8, 8),
-                ConvLayerSpec::new("T.L1", 1, 1, 0, 8, 16, 8, 8),
-            ],
-        );
-        let diags = audit_coupled_network("test", &network, &kept, &naive);
+        let naive = [(3, 4), (8, 16)];
+        let diags = audit_coupling(test_loc(&network), &network, &counts, naive);
         assert!(diags.iter().any(|d| d.rule == rules::NV005), "{diags:?}");
         // The real coupled deployment is clean.
-        let coupled = network.sequential_with_kept(&kept);
-        assert!(audit_coupled_network("test", &network, &kept, &coupled).is_empty());
+        let coupled = network.coupled_channels(&counts);
+        assert!(audit_coupling(test_loc(&network), &network, &counts, coupled).is_empty());
     }
 
     /// A MobileNetV1 plan with two unknown labels, two keeps of 0 (on
@@ -1050,13 +1031,9 @@ mod tests {
     #[test]
     fn nv004_diagnostics_are_pinned_byte_for_byte() {
         let network = mobilenet_v1();
-        let plan = mobilenet_bad_plan();
-        let diags = audit_plan_keeps("test", &network, plan.kept_channels());
-        assert_eq!(rows(&diags), bad_plan_rows("test"));
-
-        // The whole-plan audit adds no NV005 finding: the coupled assembly
-        // ignores keeps on depthwise layers and grows L12 consistently.
-        let diags = audit_pruning_plan(&plan, &network);
+        // No NV005 finding: the coupled walk ignores keeps on depthwise
+        // layers and grows L12 consistently.
+        let diags = audit_pruning_plan(&mobilenet_bad_plan(), &network);
         assert_eq!(rows(&diags), bad_plan_rows("search-beam @ HiKey 970"));
     }
 
@@ -1083,22 +1060,22 @@ mod tests {
     #[test]
     fn nv005_diagnostics_are_pinned_byte_for_byte() {
         let network = mobilenet_v1();
-        let mut kept = HashMap::new();
-        kept.insert("MobileNet.L2".to_string(), 48usize);
-        kept.insert("MobileNet.L10".to_string(), 200usize);
+        let counts: Vec<usize> = network
+            .layers()
+            .iter()
+            .map(|l| match l.label() {
+                "MobileNet.L2" => 48,
+                "MobileNet.L10" => 200,
+                _ => l.c_out(),
+            })
+            .collect();
         // The naive deployment shrinks each pruned layer's outputs and
         // leaves the depthwise consumer after it at catalog width.
-        let naive = Network::new(
-            "MobileNetV1 (naive)",
-            network
-                .layers()
-                .iter()
-                .map(|l| match kept.get(l.label()) {
-                    Some(&k) => l.with_c_out(k).expect("keep in range"),
-                    None => l.clone(),
-                })
-                .collect(),
-        );
+        let naive = network
+            .layers()
+            .iter()
+            .zip(&counts)
+            .map(|(l, &k)| (l.c_in(), k));
         let paired = Some("apply the paired input-side prune downstream (§II-B)");
         let (l3, l11) = (
             "test / MobileNetV1 :: MobileNet.L3",
@@ -1130,8 +1107,272 @@ mod tests {
                 None,
             ),
         ];
-        let diags = audit_coupled_network("test", &network, &kept, &naive);
+        let diags = audit_coupling(test_loc(&network), &network, &counts, naive);
         assert_eq!(rows(&diags), expected);
+    }
+
+    /// The plan audit as it ran on keep maps, kept as the oracle for
+    /// [`audit_pruning_plan`]: NV004 over the map, a coupled network built
+    /// by its own copy of the map-based coupling, and NV005 comparing that
+    /// network layer by layer. Because the copy does not share
+    /// [`Network::coupled_channels`], a fault in the walk shows up as a
+    /// difference rather than in both.
+    mod map_oracle {
+        use super::*;
+
+        pub fn audit_pruning_plan(plan: &PruningPlan, network: &Network) -> Vec<Diagnostic> {
+            let producer = format!("{} @ {}", plan.policy(), plan.device());
+            let kept = plan.kept_channels();
+            let mut out = audit_plan_keeps(&producer, network, &kept);
+            let undeployable = !out.is_empty()
+                && network
+                    .layers()
+                    .iter()
+                    .any(|l| !l.is_depthwise() && kept.get(l.label()) == Some(&0));
+            if !undeployable {
+                let coupled = sequential_with_kept(network, &kept);
+                out.extend(audit_coupled_network(&producer, network, &kept, &coupled));
+            }
+            out
+        }
+
+        fn audit_plan_keeps(
+            producer: &str,
+            network: &Network,
+            kept: &HashMap<String, usize>,
+        ) -> Vec<Diagnostic> {
+            let loc = |label: &str| format!("{producer} / {} :: {label}", network.name());
+            let mut found: Vec<(&str, Diagnostic)> = Vec::new();
+            let mut matched = 0;
+            for layer in network.layers() {
+                if let Some(&keep) = kept.get(layer.label()) {
+                    matched += 1;
+                    if keep == 0 || keep > layer.c_out() {
+                        let label = layer.label();
+                        let msg = format!(
+                            "keep {keep} outside 1..={} for layer '{label}'",
+                            layer.c_out()
+                        );
+                        let hint = "prune_output_channels_to targets must stay within 1..=C";
+                        found.push((label, err(rules::NV004, &loc(label), msg).with_hint(hint)));
+                    }
+                }
+            }
+            if matched < kept.len() {
+                let unknown = kept.keys().filter(|label| network.layer(label).is_none());
+                found.extend(unknown.map(|label| {
+                    let msg = format!("plan prunes unknown layer '{label}'");
+                    let diag = err(rules::NV004, &loc(label), msg);
+                    (
+                        label.as_str(),
+                        diag.with_hint("keeps must target catalog layer labels"),
+                    )
+                }));
+            }
+            found.sort_by(|a, b| a.0.cmp(b.0));
+            found.into_iter().map(|(_, diag)| diag).collect()
+        }
+
+        fn sequential_with_kept(network: &Network, kept: &HashMap<String, usize>) -> Network {
+            let mut layers = Vec::with_capacity(network.len());
+            let mut prev_out: Option<usize> = None;
+            for layer in network.layers() {
+                let c_in = prev_out.unwrap_or_else(|| layer.c_in());
+                let (c_out, groups) = if layer.is_depthwise() {
+                    (c_in, c_in)
+                } else {
+                    let c_out = kept.get(layer.label()).copied();
+                    (c_out.unwrap_or_else(|| layer.c_out()), layer.groups())
+                };
+                layers.push(ConvLayerSpec::new_grouped(
+                    layer.label(),
+                    layer.kernel(),
+                    layer.stride(),
+                    layer.pad(),
+                    c_in,
+                    c_out,
+                    layer.h_in(),
+                    layer.w_in(),
+                    groups,
+                ));
+                prev_out = Some(c_out);
+            }
+            Network::new(format!("{} (coupled prune)", network.name()), layers)
+        }
+
+        fn audit_coupled_network(
+            producer: &str,
+            network: &Network,
+            kept: &HashMap<String, usize>,
+            coupled: &Network,
+        ) -> Vec<Diagnostic> {
+            let mut out = Vec::new();
+            if coupled.len() != network.len() {
+                let msg = format!(
+                    "coupled network has {} layers, catalog has {}",
+                    coupled.len(),
+                    network.len()
+                );
+                out.push(err(
+                    rules::NV005,
+                    &format!("{producer} / {}", network.name()),
+                    msg,
+                ));
+                return out;
+            }
+            let mut prev_out: Option<usize> = None;
+            for (orig, layer) in network.layers().iter().zip(coupled.layers()) {
+                let loc = || format!("{producer} / {} :: {}", network.name(), orig.label());
+                let expect_in = prev_out.unwrap_or_else(|| orig.c_in());
+                if layer.c_in() != expect_in {
+                    let msg = format!(
+                        "consumer keeps {} input channels but its producer was pruned to {}",
+                        layer.c_in(),
+                        expect_in
+                    );
+                    let hint = "apply the paired input-side prune downstream (§II-B)";
+                    out.push(err(rules::NV005, &loc(), msg).with_hint(hint));
+                }
+                let expect_out = if orig.is_depthwise() {
+                    expect_in
+                } else {
+                    let kept = kept.get(orig.label()).copied();
+                    kept.unwrap_or_else(|| orig.c_out())
+                };
+                if layer.c_out() != expect_out {
+                    let msg = format!(
+                        "layer emits {} channels but the plan keeps {expect_out}",
+                        layer.c_out()
+                    );
+                    out.push(err(rules::NV005, &loc(), msg));
+                }
+                prev_out = Some(layer.c_out());
+            }
+            out
+        }
+    }
+
+    /// The seeded corruptions of a front plan: a keep of 0 on a dense
+    /// layer and on a depthwise one, a keep above C on one layer and on
+    /// every layer, the keeps out of network order, and an unknown label.
+    fn corruptions(plan: &PruningPlan, network: &Network, seed: usize) -> Vec<PruningPlan> {
+        let keeps: Vec<(&str, usize)> = plan.keeps().collect();
+        let layers = network.layers();
+        let pick = |salt: usize, of: &[usize]| of[(seed * 31 + salt * 17) % of.len()];
+        let dense: Vec<usize> = (0..layers.len())
+            .filter(|&i| !layers[i].is_depthwise())
+            .collect();
+        let depthwise: Vec<usize> = (0..layers.len())
+            .filter(|&i| layers[i].is_depthwise())
+            .collect();
+        let set = |at: usize, keep: usize| {
+            let mut keeps = keeps.clone();
+            keeps[at].1 = keep;
+            keeps
+        };
+        let mut variants = vec![set(pick(1, &dense), 0)];
+        if !depthwise.is_empty() {
+            variants.push(set(pick(2, &depthwise), 0));
+        }
+        let at = pick(3, &dense);
+        variants.push(set(at, layers[at].c_out() + 1));
+        let over: Vec<(&str, usize)> = keeps
+            .iter()
+            .zip(layers)
+            .map(|(&(label, _), l)| (label, l.c_out() + 1))
+            .collect();
+        variants.push(over);
+        variants.push(keeps.iter().rev().copied().collect());
+        let mut unknown = keeps.clone();
+        unknown.insert(pick(4, &dense), ("Unknown.L999", 8));
+        variants.push(unknown);
+        variants
+            .iter()
+            .map(|keeps| plan_from_json((plan.policy(), plan.device(), plan.network()), keeps))
+            .collect()
+    }
+
+    /// Every front plan of one seeded search, and the seeded corruptions
+    /// of every `stride`-th, audit exactly as the map oracle does.
+    fn assert_audit_matches_the_map_oracle(
+        network: &Network,
+        device: &Device,
+        backend: &dyn pruneperf_backends::ConvBackend,
+        config: &SearchConfig,
+        stride: usize,
+    ) {
+        let profiler = LayerProfiler::noiseless(device)
+            .with_cache(std::sync::Arc::new(pruneperf_profiler::LatencyCache::new()));
+        let accuracy = AccuracyModel::for_network(network);
+        let outcome = search(&profiler, &accuracy, backend, network, config);
+        assert!(!outcome.plans.is_empty());
+        for (i, plan) in outcome.plans.iter().enumerate() {
+            let mut cases = vec![plan.clone()];
+            if i % stride == 0 {
+                cases.extend(corruptions(plan, network, config.seed as usize + i));
+            }
+            for case in &cases {
+                assert_eq!(
+                    rows(&audit_pruning_plan(case, network)),
+                    rows(&map_oracle::audit_pruning_plan(case, network)),
+                    "{} {} seed {} plan {i}: {:?}",
+                    network.name(),
+                    config.algo.name(),
+                    config.seed,
+                    case.keeps().collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    /// The pair audit equals the map audit on seeded beam and evolve
+    /// fronts of AlexNet, MobileNetV1 and VGG-16 on two boards, and on
+    /// seeded corruptions of those plans.
+    #[test]
+    fn the_pair_audit_equals_the_map_audit() {
+        let boards: [(Device, Box<dyn pruneperf_backends::ConvBackend>); 2] = [
+            (Device::mali_g72_hikey970(), Box::new(AclGemm::new())),
+            (
+                Device::jetson_tx2(),
+                Box::new(pruneperf_backends::Cudnn::new()),
+            ),
+        ];
+        for network in [alexnet(), mobilenet_v1(), vgg16()] {
+            for (device, backend) in &boards {
+                for algo in [SearchAlgo::Beam, SearchAlgo::Evolve] {
+                    let config = SearchConfig {
+                        algo,
+                        seed: 7,
+                        ..SearchConfig::default()
+                    };
+                    let backend = backend.as_ref();
+                    assert_audit_matches_the_map_oracle(&network, device, backend, &config, 29);
+                }
+            }
+        }
+    }
+
+    /// The recorded ResNet-50 beam fronts: the seeds of
+    /// `benchmark/expected/search.tsv` (the file is only read).
+    /// cargo test -q --release -p pruneperf-analysis --lib network_verify -- --include-ignored
+    #[test]
+    #[ignore = "32 ResNet-50 searches; run with --include-ignored in release"]
+    fn the_pair_audit_equals_the_map_audit_on_every_recorded_front() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmark/expected/search.tsv"
+        );
+        let recorded = std::fs::read_to_string(path).expect("recorded search fronts");
+        let network = resnet50();
+        for row in recorded.lines() {
+            let seed = row.split('\t').next().expect("seed column");
+            let config = SearchConfig {
+                seed: seed.parse().expect("numeric seed"),
+                ..SearchConfig::default()
+            };
+            let device = Device::mali_g72_hikey970();
+            assert_audit_matches_the_map_oracle(&network, &device, &AclGemm::new(), &config, 61);
+        }
     }
 
     #[test]

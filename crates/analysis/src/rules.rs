@@ -94,8 +94,9 @@ pub const NV003: &str = "NV003";
 /// Pruning-plan keeps are valid: every target layer exists and keeps
 /// within `1..=C` of its original output channels.
 pub const NV004: &str = "NV004";
-/// Paired input-side pruning is applied downstream: a coupled network
-/// shrinks each consumer's input channels to the producer's kept count.
+/// Paired input-side pruning is applied downstream: the coupled
+/// deployment shrinks each consumer's input channels to the producer's
+/// kept count.
 pub const NV005: &str = "NV005";
 /// Reported `total_flops`/`flops_breakdown` equal independently
 /// recomputed values for the (possibly pruned) assembly.

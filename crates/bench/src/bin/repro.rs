@@ -14,20 +14,60 @@
 //! JSON/CSV artifacts are byte-identical at any worker count; cache and
 //! worker diagnostics go to stderr.
 
-use std::io::Write as _;
+use std::fmt::Display;
+use std::io::{ErrorKind, Stdout, Write as _};
 use std::process::ExitCode;
 
 use pruneperf_bench::{all_ids, run_many, ExperimentResult};
 use pruneperf_profiler::{sweep, LatencyCache};
 
+/// Standard output that goes quiet once its reader has gone (`| head`):
+/// the run still writes its files and exits as it would have.
+struct Out {
+    stdout: Stdout,
+    closed: bool,
+    /// A write failed for a reason other than a closed pipe.
+    failed: bool,
+}
+
+impl Out {
+    /// Writes one line, unless an earlier write failed.
+    fn line(&mut self, line: impl Display) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = writeln!(self.stdout.lock(), "{line}") {
+            self.closed = true;
+            if e.kind() != ErrorKind::BrokenPipe {
+                eprintln!("cannot write stdout: {e}");
+                self.failed = true;
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
+    let mut out = Out {
+        stdout: std::io::stdout(),
+        closed: false,
+        failed: false,
+    };
+    let code = run(&mut out);
+    if out.failed {
+        ExitCode::FAILURE
+    } else {
+        code
+    }
+}
+
+fn run(out: &mut Out) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         return usage();
     }
     if args[0] == "list" {
         for id in all_ids() {
-            println!("{id}");
+            out.line(id);
         }
         return ExitCode::SUCCESS;
     }
@@ -97,20 +137,20 @@ fn main() -> ExitCode {
     if summary_mode {
         for r in &results {
             let ok = r.findings.iter().filter(|f| f.ok).count();
-            println!(
+            out.line(format_args!(
                 "{:<8} {:>2}/{:<2} findings ok  {}",
                 r.id,
                 ok,
                 r.findings.len(),
                 r.title
-            );
+            ));
         }
         report_engine_stats(jobs);
         return exit_code(&results);
     }
 
     for r in &results {
-        println!("{r}");
+        out.line(r);
     }
 
     // Summary.
@@ -120,11 +160,11 @@ fn main() -> ExitCode {
         .flat_map(|r| &r.findings)
         .filter(|f| f.ok)
         .count();
-    println!(
+    out.line(format_args!(
         "summary: {}/{} experiments fully in band, {ok_findings}/{total_findings} findings ok",
         results.iter().filter(|r| r.all_ok()).count(),
         results.len()
-    );
+    ));
     report_engine_stats(jobs);
 
     if let Some(dir) = csv_dir {
@@ -143,7 +183,7 @@ fn main() -> ExitCode {
                 written += 1;
             }
         }
-        println!("wrote {written} CSV file(s) to {dir}");
+        out.line(format_args!("wrote {written} CSV file(s) to {dir}"));
     }
 
     if let Some(path) = json_path {
@@ -151,7 +191,7 @@ fn main() -> ExitCode {
             let body = serde_json::to_string_pretty(&results).expect("results serialize");
             f.write_all(body.as_bytes())
         }) {
-            Ok(()) => println!("wrote {path}"),
+            Ok(()) => out.line(format_args!("wrote {path}")),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
                 return ExitCode::FAILURE;

@@ -301,29 +301,23 @@ pub fn ext6() -> ExperimentResult {
 /// the compounding is substantial.
 pub fn ext7() -> ExperimentResult {
     use pruneperf_models::vgg16;
-    use std::collections::HashMap;
 
     let device = hikey();
     let backend = AclGemm::new();
     let net = vgg16();
     // Keep 75% everywhere, rounded to the fast staircase (multiples of 8).
-    let kept: HashMap<String, usize> = net
+    let counts: Vec<usize> = net
         .layers()
         .iter()
-        .map(|l| {
-            let c = ((l.c_out() * 3 / 4) / 8 * 8).max(8);
-            (l.label().to_string(), c)
-        })
+        .map(|l| ((l.c_out() * 3 / 4) / 8 * 8).max(8))
         .collect();
     let isolated: f64 = net
         .layers()
         .iter()
-        .map(|l| {
-            let c = kept[l.label()];
-            backend.latency_ms(&l.with_c_out(c).expect("valid"), &device)
-        })
+        .zip(&counts)
+        .map(|(l, &c)| backend.latency_ms(&l.with_c_out(c).expect("valid"), &device))
         .sum();
-    let coupled_net = net.sequential_with_kept(&kept);
+    let coupled_net = net.sequential_with_counts(&counts);
     let coupled: f64 = coupled_net
         .layers()
         .iter()

@@ -51,3 +51,28 @@ fn repro_refuses_flags_without_an_experiment() {
         assert!(!json.exists() && !csv.exists(), "{args:?} wrote a file");
     }
 }
+
+/// A reader that closes the pipe early (`repro all | head -c 10`) ends
+/// stdout, not the run: `repro all` prints ~99 KB, more than a 64 KiB
+/// pipe holds, so a write fails once the reader is gone.
+#[test]
+fn repro_into_a_pipe_closed_early_exits_as_usual() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["all", "--jobs", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro starts");
+    let mut head = [0u8; 10];
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut head).expect("ten bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(&head, b"=== fig1 \xe2");
+}

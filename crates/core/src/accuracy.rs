@@ -128,10 +128,19 @@ impl AccuracyModel {
     /// Panics if a label is unknown or a count is invalid — the pruner
     /// constructs these maps from the same catalog, so mismatches are bugs.
     pub fn accuracy_with(&self, kept_channels: &HashMap<String, usize>) -> f64 {
+        self.accuracy_of(kept_channels.iter().map(|(l, &k)| (l.as_str(), k)))
+    }
+
+    /// [`AccuracyModel::accuracy_with`] over `(label, kept)` pairs given
+    /// in any order.
+    ///
+    /// # Panics
+    ///
+    /// As [`AccuracyModel::accuracy_with`].
+    pub fn accuracy_of<'a>(&self, kept: impl IntoIterator<Item = (&'a str, usize)>) -> f64 {
         // Accumulate in label order: float sums are order-sensitive, and
         // hash-order iteration would vary the result across processes.
-        let mut entries: Vec<(&String, usize)> =
-            kept_channels.iter().map(|(l, &k)| (l, k)).collect();
+        let mut entries: Vec<(&str, usize)> = kept.into_iter().collect();
         entries.sort();
         let mut loss = 0.0;
         for (label, kept) in entries {

@@ -58,7 +58,7 @@ mod staircase;
 pub mod testkit;
 
 pub use pareto::pareto_front;
-pub use pruner::{PerfAwarePruner, PruningPlan, UninstructedPruner};
+pub use pruner::{Keeps, PerfAwarePruner, PruningPlan, UninstructedPruner};
 pub use staircase::{OptimalPoint, Staircase, Step};
 
 // Re-export the profiling vocabulary so `pruneperf-core` is usable alone.

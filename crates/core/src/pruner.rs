@@ -1,15 +1,97 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use pruneperf_backends::ConvBackend;
 use pruneperf_models::Network;
 use pruneperf_profiler::LayerProfiler;
 
 use crate::accuracy::AccuracyModel;
-use crate::search::{Objective, SearchSpace};
+use crate::search::{Objective, ParetoPoint, SearchSpace};
 use crate::{pareto_front, Staircase};
+
+/// Kept channel counts, one per label of a table that every plan drawn
+/// from one network shares (§V picks one staircase point per layer).
+/// Plans built in this crate list every layer in network order; a table
+/// read from JSON lists its labels in the order the object does, and may
+/// name labels the network lacks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Keeps {
+    labels: Arc<[String]>,
+    counts: Vec<usize>,
+}
+
+impl Keeps {
+    /// Pairs a shared label table with one count per label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub(crate) fn new(labels: Arc<[String]>, counts: Vec<usize>) -> Self {
+        // lint: allow(panic) — documented # Panics contract
+        assert_eq!(labels.len(), counts.len(), "one keep count per label");
+        Keeps { labels, counts }
+    }
+
+    /// The label table of `network`, in network order.
+    pub(crate) fn labels_of(network: &Network) -> Arc<[String]> {
+        network
+            .layers()
+            .iter()
+            .map(|l| l.label().to_string())
+            .collect()
+    }
+
+    /// `(label, kept)` pairs in table order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, usize)> + '_ {
+        self.labels
+            .iter()
+            .map(String::as_str)
+            .zip(self.counts.iter().copied())
+    }
+
+    /// The count kept for `label`.
+    pub(crate) fn get(&self, label: &str) -> Option<usize> {
+        let i = self.labels.iter().position(|l| l == label)?;
+        self.counts.get(i).copied()
+    }
+}
+
+/// A `{"label": kept}` object with its keys sorted, as a map serializes.
+impl Serialize for Keeps {
+    fn to_value(&self) -> Value {
+        let mut pairs: Vec<(&str, usize)> = self.iter().collect();
+        pairs.sort_unstable();
+        let fields = pairs
+            .into_iter()
+            .map(|(label, kept)| (label.to_string(), kept.to_value()));
+        Value::Object(fields.collect())
+    }
+}
+
+/// Reads a `{"label": kept}` object in its own order; a repeated label
+/// keeps its last count, as a map's would.
+impl<'de> Deserialize<'de> for Keeps {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| Error::msg("expected object"))?;
+        let (mut labels, mut counts): (Vec<String>, Vec<usize>) = (Vec::new(), Vec::new());
+        for (label, kept) in fields {
+            let kept = usize::from_value(kept)?;
+            match labels.iter().position(|l| l == label) {
+                Some(i) => counts[i] = kept,
+                None => {
+                    labels.push(label.clone());
+                    counts.push(kept);
+                }
+            }
+        }
+        Ok(Keeps::new(labels.into(), counts))
+    }
+}
 
 /// A concrete pruning decision for a whole network: how many channels each
 /// layer keeps, and the resulting (estimated) latency and accuracy.
@@ -19,7 +101,7 @@ pub struct PruningPlan {
     backend: String,
     device: String,
     network: String,
-    kept: HashMap<String, usize>,
+    kept: Keeps,
     latency_ms: f64,
     energy_mj: f64,
     accuracy: f64,
@@ -28,18 +110,15 @@ pub struct PruningPlan {
 impl PruningPlan {
     /// Assembles a plan from already-measured parts. Crate-internal: only
     /// the pruners and the whole-network search construct plans, and both
-    /// are required to have measured `(latency, energy, accuracy)` through
-    /// the same profiler paths the accessors document.
-    #[allow(clippy::too_many_arguments)]
+    /// are required to have measured the `point` through the same profiler
+    /// paths the accessors document.
     pub(crate) fn from_parts(
         policy: &str,
         backend: &str,
         device: &str,
         network: &str,
-        kept: HashMap<String, usize>,
-        latency_ms: f64,
-        energy_mj: f64,
-        accuracy: f64,
+        kept: Keeps,
+        point: ParetoPoint,
     ) -> Self {
         PruningPlan {
             policy: policy.to_string(),
@@ -47,13 +126,15 @@ impl PruningPlan {
             device: device.to_string(),
             network: network.to_string(),
             kept,
-            latency_ms,
-            energy_mj,
-            accuracy,
+            latency_ms: point.latency_ms,
+            energy_mj: point.energy_mj,
+            accuracy: point.accuracy,
         }
     }
 
-    /// Policy that produced the plan (`"performance-aware"` / `"uninstructed"`).
+    /// Policy that produced the plan: `"performance-aware"`,
+    /// `"energy-aware"`, `"uninstructed"`, `"search-beam"` or
+    /// `"search-evolve"`.
     pub fn policy(&self) -> &str {
         &self.policy
     }
@@ -73,9 +154,15 @@ impl PruningPlan {
         &self.network
     }
 
-    /// Kept channel count per layer label.
-    pub fn kept_channels(&self) -> &HashMap<String, usize> {
-        &self.kept
+    /// `(label, kept)` for every layer, in network order.
+    pub fn keeps(&self) -> impl ExactSizeIterator<Item = (&str, usize)> + '_ {
+        self.kept.iter()
+    }
+
+    /// Kept channel count per layer label, as a map built on each call;
+    /// [`PruningPlan::keeps`] reads the same counts without building one.
+    pub fn kept_channels(&self) -> HashMap<String, usize> {
+        self.keeps().map(|(l, k)| (l.to_string(), k)).collect()
     }
 
     /// Sum of per-layer median latencies (unique layers, batch 1), ms.
@@ -95,7 +182,7 @@ impl PruningPlan {
 
     /// Kept channels for one layer.
     pub fn kept_for(&self, label: &str) -> Option<usize> {
-        self.kept.get(label).copied()
+        self.kept.get(label)
     }
 }
 
@@ -109,18 +196,19 @@ impl fmt::Display for PruningPlan {
     }
 }
 
-/// Measures the summed latency and energy of a per-layer keep map.
+/// Measures the summed latency and energy of per-layer keep counts in
+/// network order.
 fn plan_cost(
     profiler: &LayerProfiler,
     backend: &dyn ConvBackend,
     network: &Network,
-    kept: &HashMap<String, usize>,
+    counts: &[usize],
 ) -> (f64, f64) {
     network
         .layers()
         .iter()
-        .map(|l| {
-            let c = kept.get(l.label()).copied().unwrap_or_else(|| l.c_out());
+        .zip(counts)
+        .map(|(l, &c)| {
             // lint: allow(unwrap) — kept counts never exceed the catalog c_out
             let layer = l.with_c_out(c).expect("keep count validated");
             (
@@ -268,10 +356,8 @@ impl<'a> PerfAwarePruner<'a> {
             backend.name(),
             self.profiler.device().name(),
             network.name(),
-            space.kept_map(&genome),
-            point.latency_ms,
-            point.energy_mj,
-            point.accuracy,
+            space.keeps(genome),
+            point,
         )
     }
 }
@@ -299,30 +385,18 @@ impl<'a> UninstructedPruner<'a> {
         network: &Network,
         distance: usize,
     ) -> PruningPlan {
-        let kept: HashMap<String, usize> = network
+        let counts = network
             .layers()
             .iter()
             .map(|l| {
-                let c = if l.c_out() > distance {
+                if l.c_out() > distance {
                     l.c_out() - distance
                 } else {
                     l.c_out()
-                };
-                (l.label().to_string(), c)
+                }
             })
             .collect();
-        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        let accuracy = self.accuracy.accuracy_with(&kept);
-        PruningPlan {
-            policy: "uninstructed".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            kept,
-            latency_ms,
-            energy_mj,
-            accuracy,
-        }
+        self.measured_plan(backend, network, counts)
     }
 
     /// Prunes every layer to the same *fraction* of its channels.
@@ -340,26 +414,30 @@ impl<'a> UninstructedPruner<'a> {
             keep_fraction > 0.0 && keep_fraction <= 1.0,
             "keep fraction must be in (0, 1]"
         );
-        let kept: HashMap<String, usize> = network
+        let counts = network
             .layers()
             .iter()
-            .map(|l| {
-                let c = ((l.c_out() as f64 * keep_fraction).round() as usize).max(1);
-                (l.label().to_string(), c)
-            })
+            .map(|l| ((l.c_out() as f64 * keep_fraction).round() as usize).max(1))
             .collect();
-        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        let accuracy = self.accuracy.accuracy_with(&kept);
-        PruningPlan {
-            policy: "uninstructed".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            kept,
+        self.measured_plan(backend, network, counts)
+    }
+
+    /// The measured plan keeping `counts` of `network`'s layers.
+    fn measured_plan(
+        &self,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        counts: Vec<usize>,
+    ) -> PruningPlan {
+        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &counts);
+        let kept = Keeps::new(Keeps::labels_of(network), counts);
+        let point = ParetoPoint {
             latency_ms,
             energy_mj,
-            accuracy,
-        }
+            accuracy: self.accuracy.accuracy_of(kept.iter()),
+        };
+        let (device, name) = (self.profiler.device().name(), network.name());
+        PruningPlan::from_parts("uninstructed", backend.name(), device, name, kept, point)
     }
 }
 
@@ -457,17 +535,14 @@ mod tests {
                 acc = self.accuracy.accuracy_with(&kept);
             }
 
-            let (_, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-            PruningPlan {
-                policy: "performance-aware".into(),
-                backend: backend.name().to_string(),
-                device: self.profiler.device().name().to_string(),
-                network: network.name().to_string(),
+            let counts = counts_of(network, &kept);
+            let (_, energy_mj) = plan_cost(self.profiler, backend, network, &counts);
+            let point = ParetoPoint {
                 latency_ms: total,
                 energy_mj,
                 accuracy: acc,
-                kept,
-            }
+            };
+            map_plan("performance-aware", self, backend, network, counts, point)
         }
 
         fn prune_to_energy_by_map(
@@ -543,18 +618,34 @@ mod tests {
                 acc = self.accuracy.accuracy_with(&kept);
             }
 
-            let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-            PruningPlan {
-                policy: "energy-aware".into(),
-                backend: backend.name().to_string(),
-                device: self.profiler.device().name().to_string(),
-                network: network.name().to_string(),
+            let counts = counts_of(network, &kept);
+            let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &counts);
+            let point = ParetoPoint {
                 latency_ms,
                 energy_mj,
                 accuracy: acc,
-                kept,
-            }
+            };
+            map_plan("energy-aware", self, backend, network, counts, point)
         }
+    }
+
+    /// A keep map's counts in network order.
+    fn counts_of(network: &Network, kept: &HashMap<String, usize>) -> Vec<usize> {
+        network.layers().iter().map(|l| kept[l.label()]).collect()
+    }
+
+    /// The oracles' plan of `counts` at `point`.
+    fn map_plan(
+        policy: &str,
+        pruner: &PerfAwarePruner<'_>,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        counts: Vec<usize>,
+        point: ParetoPoint,
+    ) -> PruningPlan {
+        let kept = Keeps::new(Keeps::labels_of(network), counts);
+        let device = pruner.profiler.device().name();
+        PruningPlan::from_parts(policy, backend.name(), device, network.name(), kept, point)
     }
 
     /// Both greedies at every budget, compared bit for bit.
@@ -585,7 +676,7 @@ mod tests {
                     want.backend()
                 );
                 assert_eq!(bits(&got), bits(&want), "{case}");
-                assert_eq!(got.kept_channels(), want.kept_channels(), "{case}");
+                assert!(got.keeps().eq(want.keeps()), "{case}");
                 assert_eq!(got.policy(), want.policy(), "{case}");
             }
         }
@@ -657,6 +748,24 @@ mod tests {
     #[ignore = "the keep-map oracle is slow on 64 layers; run in release with --include-ignored"]
     fn the_table_greedy_equals_the_keep_map_greedy_on_the_wide_net() {
         assert_greedy_matches_map_everywhere(&testkit::wide_net());
+    }
+
+    /// Keeps serialize as a label-sorted object, as the map they replace
+    /// did, and read back in the object's order, a repeated label keeping
+    /// its last count.
+    #[test]
+    fn keeps_keep_their_json_shape() {
+        let labels: Arc<[String]> = vec!["T.L1".to_string(), "T.L0".to_string()].into();
+        let keeps = Keeps::new(labels, vec![4, 8]);
+        let object = |pairs: &[(&str, u64)]| {
+            let fields = pairs.iter().map(|&(l, k)| (l.to_string(), Value::UInt(k)));
+            Value::Object(fields.collect())
+        };
+        assert_eq!(keeps.to_value(), object(&[("T.L0", 8), ("T.L1", 4)]));
+        let read = Keeps::from_value(&object(&[("T.L1", 4), ("T.L0", 2), ("T.L1", 6)])).unwrap();
+        assert_eq!(read.iter().collect::<Vec<_>>(), [("T.L1", 6), ("T.L0", 2)]);
+        assert_eq!(read.get("T.L0"), Some(2));
+        assert!(Keeps::from_value(&Value::UInt(3)).is_err());
     }
 
     #[test]
@@ -755,7 +864,7 @@ mod tests {
         let (p, a) = setup(&d);
         let u = UninstructedPruner::new(&p, &a);
         let plan = u.prune_to_fraction(&AclGemm::new(), &tiny_net(), 0.01);
-        for &c in plan.kept_channels().values() {
+        for (_, c) in plan.keeps() {
             assert!(c >= 1);
         }
     }

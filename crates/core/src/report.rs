@@ -102,10 +102,9 @@ pub fn campaign_report(
     let _ = writeln!(out, "\n## Selected channel counts\n");
     let _ = writeln!(out, "| layer | original | kept |");
     let _ = writeln!(out, "|---|---|---|");
-    for layer in network.layers() {
-        let kept = plan.kept_for(layer.label()).unwrap_or(layer.c_out());
+    for ((label, kept), layer) in plan.keeps().zip(network.layers()) {
         if kept != layer.c_out() {
-            let _ = writeln!(out, "| {} | {} | {} |", layer.label(), layer.c_out(), kept);
+            let _ = writeln!(out, "| {label} | {} | {kept} |", layer.c_out());
         }
     }
 

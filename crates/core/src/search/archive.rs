@@ -204,6 +204,11 @@ impl<T: Ord> ParetoArchive<T> {
         self.entries.iter().rev()
     }
 
+    /// The archived front in ascending canonical order, by value.
+    pub fn into_entries(self) -> impl DoubleEndedIterator<Item = (ParetoPoint, T)> {
+        self.entries.into_iter().rev()
+    }
+
     /// Number of points currently archived.
     pub fn len(&self) -> usize {
         self.entries.len()

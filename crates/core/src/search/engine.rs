@@ -176,20 +176,14 @@ pub fn search(
                     }
                     children.push(child);
                 }
-                let fresh: Vec<Vec<usize>> = {
-                    let mut unique: Vec<Vec<usize>> = Vec::new();
-                    for c in &children {
-                        if !seen.contains_key(c) && !unique.contains(c) {
-                            unique.push(c.clone());
-                        }
+                // Score each distinct unseen child once, in child order.
+                for child in &children {
+                    if !seen.contains_key(child) {
+                        evaluated += 1;
+                        let point = space.score(child);
+                        seen.insert(child.clone(), point);
+                        archive.offer(point, child.clone());
                     }
-                    unique
-                };
-                evaluated += fresh.len() as u64;
-                for genome in fresh {
-                    let point = space.score(&genome);
-                    seen.insert(genome.clone(), point);
-                    archive.offer(point, genome);
                 }
                 // Truncation selection on the (μ+λ) pool by non-domination
                 // rank, hashed tie-break, then genome order.
@@ -220,30 +214,24 @@ pub fn search(
         }
     }
 
-    let policy = match config.algo {
-        SearchAlgo::Beam => "search-beam",
-        SearchAlgo::Evolve => "search-evolve",
-    };
-    let device = profiler.device().name().to_string();
-    let mut plans = Vec::with_capacity(archive.len());
-    for (point, genome) in archive.entries() {
-        plans.push(PruningPlan::from_parts(
-            policy,
-            backend.name(),
-            &device,
-            network.name(),
-            space.kept_map(genome),
-            point.latency_ms,
-            point.energy_mj,
-            point.accuracy,
-        ));
-    }
+    let policy = format!("search-{}", config.algo.name());
+    let (device, name) = (profiler.device().name(), network.name());
+    let (archived, dominated, duplicates) =
+        (archive.len(), archive.dominated(), archive.duplicates());
+    // Each genome moves out of the archive and becomes its plan's counts.
+    let plans = archive
+        .into_entries()
+        .map(|(point, genome)| {
+            let kept = space.keeps(genome);
+            PruningPlan::from_parts(&policy, backend.name(), device, name, kept, point)
+        })
+        .collect();
     SearchOutcome {
         plans,
         evaluated,
-        archived: archive.len(),
-        dominated: archive.dominated(),
-        duplicates: archive.duplicates(),
+        archived,
+        dominated,
+        duplicates,
         rounds,
         total_configs: space.total_configs(),
     }
@@ -347,11 +335,7 @@ mod tests {
                     p.latency_ms().to_bits(),
                     p.energy_mj().to_bits(),
                     p.accuracy().to_bits(),
-                    format!("{:?}", {
-                        let mut kept: Vec<_> = p.kept_channels().iter().collect();
-                        kept.sort();
-                        kept
-                    }),
+                    format!("{:?}", p.keeps().collect::<Vec<_>>()),
                 )
             })
             .collect()

@@ -7,20 +7,19 @@
 //! validate the greedy and beam searches against and (b) an exact solver
 //! users can run on sub-networks they care about.
 
-use std::collections::HashMap;
-
 use pruneperf_backends::ConvBackend;
 use pruneperf_models::Network;
 use pruneperf_profiler::LayerProfiler;
 
 use super::SearchSpace;
 use crate::accuracy::AccuracyModel;
+use crate::Keeps;
 
 /// An exhaustively-found pruning configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExactPlan {
-    /// Kept channels per layer label.
-    pub kept: HashMap<String, usize>,
+    /// Kept channels per layer, over the space's label table.
+    pub kept: Keeps,
     /// Summed per-layer latency, ms.
     pub latency_ms: f64,
     /// Estimated accuracy.
@@ -49,19 +48,14 @@ pub fn exhaustive_prune_to_latency(
     let space = SearchSpace::build_for(profiler, accuracy, backend, network);
     space.configs_within(max_configs, "exhaustive-search");
 
-    let unpruned_ms: f64 = network
-        .layers()
-        .iter()
-        .map(|l| profiler.measure(backend, l).median_ms())
-        .sum();
-    let budget = unpruned_ms * budget_fraction;
+    let budget = space.score(&space.full_genome()).latency_ms * budget_fraction;
 
     let mut best: Option<ExactPlan> = None;
     for genome in space.enumerate_within(max_configs) {
         let point = space.score(&genome);
         if point.latency_ms <= budget && best.as_ref().is_none_or(|b| point.accuracy > b.accuracy) {
             best = Some(ExactPlan {
-                kept: space.kept_map(&genome),
+                kept: space.keeps(genome),
                 latency_ms: point.latency_ms,
                 accuracy: point.accuracy,
             });

@@ -32,14 +32,14 @@ pub use archive::{ParetoArchive, ParetoPoint};
 pub use engine::{search, SearchAlgo, SearchConfig, SearchOutcome};
 pub use exhaustive::{exhaustive_prune_to_latency, ExactPlan};
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use pruneperf_backends::ConvBackend;
 use pruneperf_models::{ConvLayerSpec, Network};
 use pruneperf_profiler::LayerProfiler;
 
 use crate::accuracy::AccuracyModel;
-use crate::PerfAwarePruner;
+use crate::{Keeps, PerfAwarePruner};
 
 /// What the §V greedy ([`SearchSpace::greedy`]) trades accuracy for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,9 @@ struct SlotScore {
 /// unpruned network is [`SearchSpace::full_genome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
-    layers: Vec<(String, Vec<(usize, f64)>)>,
+    /// Layer labels in network order, shared by every plan of the space.
+    labels: Arc<[String]>,
+    ladders: Vec<Vec<(usize, f64)>>,
     /// Per layer and ladder slot: the measured median, the energy and
     /// the accuracy-loss term.
     scores: Vec<Vec<SlotScore>>,
@@ -101,7 +103,7 @@ impl SearchSpace {
         network: &Network,
     ) -> SearchSpace {
         let pruner = PerfAwarePruner::new(profiler, accuracy);
-        let mut layers: Vec<(String, Vec<(usize, f64)>)> = Vec::new();
+        let mut ladders: Vec<Vec<(usize, f64)>> = Vec::new();
         let mut scores: Vec<Vec<SlotScore>> = Vec::new();
         for layer in network.layers() {
             let mut cands = pruner.candidates_for(backend, layer);
@@ -129,13 +131,15 @@ impl SearchSpace {
                         .expect("accuracy model covers the network"),
                 })
                 .collect();
-            layers.push((layer.label().to_string(), cands));
+            ladders.push(cands);
             scores.push(slots);
         }
-        let mut label_order: Vec<usize> = (0..layers.len()).collect();
-        label_order.sort_by(|&a, &b| layers[a].0.cmp(&layers[b].0));
+        let labels = Keeps::labels_of(network);
+        let mut label_order: Vec<usize> = (0..labels.len()).collect();
+        label_order.sort_by(|&a, &b| labels[a].cmp(&labels[b]));
         SearchSpace {
-            layers,
+            labels,
+            ladders,
             scores,
             label_order,
             base_accuracy: accuracy.base_accuracy(),
@@ -144,26 +148,26 @@ impl SearchSpace {
 
     /// Number of layers (genome length).
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.ladders.len()
     }
 
     /// The candidate ladder for layer `i`, ascending in kept channels.
     pub fn ladder(&self, i: usize) -> &[(usize, f64)] {
-        &self.layers[i].1
+        &self.ladders[i]
     }
 
     /// The label of layer `i`.
     pub fn label_of(&self, i: usize) -> &str {
-        &self.layers[i].0
+        &self.labels[i]
     }
 
     /// Size of the full cross product, modulo 2^64. ResNet-50's ladders
     /// multiply past `u64::MAX`, and the search report pins the wrapped
     /// value; the enumeration caps check the exact product instead.
     pub fn total_configs(&self) -> usize {
-        self.layers
+        self.ladders
             .iter()
-            .fold(1, |total: usize, (_, c)| total.wrapping_mul(c.len()))
+            .fold(1, |total: usize, c| total.wrapping_mul(c.len()))
     }
 
     /// The exact size of the cross product, refusing it unless it is at
@@ -175,9 +179,9 @@ impl SearchSpace {
     /// Panics if the space exceeds `cap`; `what` names the cap.
     fn configs_within(&self, cap: usize, what: &str) -> usize {
         let total = self
-            .layers
+            .ladders
             .iter()
-            .try_fold(1, |total: usize, (_, c)| total.checked_mul(c.len()));
+            .try_fold(1, |total: usize, c| total.checked_mul(c.len()));
         match total {
             Some(total) if total <= cap => total,
             // lint: allow(panic) — documented # Panics contract
@@ -189,21 +193,26 @@ impl SearchSpace {
 
     /// The genome selecting every layer's unpruned point.
     pub fn full_genome(&self) -> Vec<usize> {
-        self.layers.iter().map(|(_, c)| c.len() - 1).collect()
+        self.ladders.iter().map(|c| c.len() - 1).collect()
     }
 
-    /// Kept-channel map for a genome.
+    /// The kept-channel counts a genome selects, in network order, written
+    /// over the genome's own storage.
     ///
     /// # Panics
     ///
     /// Panics if the genome length or any index is out of range.
-    pub fn kept_map(&self, genome: &[usize]) -> HashMap<String, usize> {
-        assert_eq!(genome.len(), self.layers.len(), "genome length mismatch");
+    pub fn kept_counts(&self, mut genome: Vec<usize>) -> Vec<usize> {
+        assert_eq!(genome.len(), self.ladders.len(), "genome length mismatch");
+        for (slot, ladder) in genome.iter_mut().zip(&self.ladders) {
+            *slot = ladder[*slot].0;
+        }
         genome
-            .iter()
-            .zip(&self.layers)
-            .map(|(&slot, (label, cands))| (label.clone(), cands[slot].0))
-            .collect()
+    }
+
+    /// A genome's counts over the space's shared label table.
+    pub(crate) fn keeps(&self, genome: Vec<usize>) -> Keeps {
+        Keeps::new(Arc::clone(&self.labels), self.kept_counts(genome))
     }
 
     /// Scores a genome from the slot table. Latency and energy are summed
@@ -308,23 +317,18 @@ impl SearchSpace {
     /// small differential-test fixtures only.
     pub fn enumerate_within(&self, max_configs: usize) -> Vec<Vec<usize>> {
         let total = self.configs_within(max_configs, "enumeration");
-        let mut out = Vec::with_capacity(total);
-        let mut indices = vec![0usize; self.layers.len()];
-        loop {
-            out.push(indices.clone());
-            let mut i = 0;
-            loop {
-                if i == indices.len() {
-                    return out;
-                }
-                indices[i] += 1;
-                if indices[i] < self.layers[i].1.len() {
-                    break;
-                }
-                indices[i] = 0;
-                i += 1;
-            }
-        }
+        // Configuration n's slots are its mixed-radix digits, layer 0 the
+        // least significant.
+        (0..total)
+            .map(|mut n| {
+                let slots = self.ladders.iter().map(|ladder| {
+                    let slot = n % ladder.len();
+                    n /= ladder.len();
+                    slot
+                });
+                slots.collect()
+            })
+            .collect()
     }
 }
 
@@ -392,11 +396,12 @@ mod tests {
             for p in [LayerProfiler::noiseless(d), LayerProfiler::new(d)] {
                 let space = SearchSpace::build_for(&p, &a, &backend, net);
                 for genome in space.enumerate_within(100_000) {
-                    let kept = space.kept_map(&genome);
+                    let kept = space.keeps(genome.clone());
                     let specs: Vec<ConvLayerSpec> = net
                         .layers()
                         .iter()
-                        .map(|l| l.with_c_out(kept[l.label()]).unwrap())
+                        .zip(kept.iter())
+                        .map(|(l, (_, c))| l.with_c_out(c).unwrap())
                         .collect();
                     let latency_ms: f64 = p
                         .measure_batch(&backend, &specs)
@@ -411,7 +416,7 @@ mod tests {
                     assert_eq!(got.latency_ms.to_bits(), latency_ms.to_bits());
                     assert_eq!(got.latency_ms.to_bits(), ladder_ms.to_bits());
                     assert_eq!(got.energy_mj.to_bits(), energy_mj.to_bits());
-                    assert_eq!(got.accuracy.to_bits(), a.accuracy_with(&kept).to_bits());
+                    assert_eq!(got.accuracy.to_bits(), a.accuracy_of(kept.iter()).to_bits());
                 }
             }
         }

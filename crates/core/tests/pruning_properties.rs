@@ -105,8 +105,9 @@ proptest! {
         // envelope of one macro-tile per layer.
         prop_assert!(plan.energy_mj() <= full.energy_mj() * 1.75 + 2.0);
         prop_assert!(plan.accuracy() <= model.base_accuracy() + 1e-12);
-        for layer in net.layers() {
-            let kept = plan.kept_for(layer.label()).expect("planned");
+        prop_assert_eq!(plan.keeps().len(), net.len());
+        for ((label, kept), layer) in plan.keeps().zip(net.layers()) {
+            prop_assert_eq!(label, layer.label());
             prop_assert!(kept >= 1 && kept <= layer.c_out());
         }
     }

@@ -115,7 +115,7 @@ fn beam_front_is_a_subset_of_the_true_pareto_front() {
                     truth_bits.contains(&q),
                     "{} seed {seed}: beam plan {:?} not on the true front",
                     device.name(),
-                    plan.kept_channels()
+                    plan.keeps().collect::<Vec<_>>()
                 );
             }
         }
@@ -139,9 +139,12 @@ fn exhaustive_optima_are_matched_or_dominated_by_the_beam_front() {
                 // The exact optimum's objective point, scored the way the
                 // beam scores its candidates.
                 let space = SearchSpace::build_for(&p, &a, &backend, &net);
-                let genome: Vec<usize> = (0..space.num_layers())
-                    .map(|i| {
-                        let want = exact.kept[space.label_of(i)];
+                let genome: Vec<usize> = exact
+                    .kept
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (label, want))| {
+                        assert_eq!(label, space.label_of(i));
                         space
                             .ladder(i)
                             .iter()

@@ -1,3 +1,4 @@
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -61,49 +62,84 @@ impl Network {
         self.layers.iter().map(ConvLayerSpec::macs).sum()
     }
 
-    /// For *sequential* networks (VGG, AlexNet, MobileNetV1 — every layer
-    /// feeds the next), rebuilds the network with the given kept channel
-    /// counts **propagated across layers**: layer *i*'s output channel
-    /// count becomes layer *i+1*'s input channel count, and depthwise
-    /// layers follow their input. Layers absent from the map keep their
-    /// original count.
+    /// The coupling rule of a *sequential* network (VGG, AlexNet,
+    /// MobileNetV1 — every layer feeds the next) deployed with per-layer
+    /// kept channel counts in network order: each layer's `(c_in, c_out)`.
+    /// Layer *i*'s output count becomes layer *i+1*'s input count, and a
+    /// depthwise layer follows its input whatever its own count says.
     ///
     /// This models what deploying a pruned network actually does — the
     /// paper profiles layers in isolation (output channels only), which
     /// understates whole-network gains because shrinking one layer also
     /// shrinks its successor's `K` dimension.
-    pub fn sequential_with_kept(&self, kept: &HashMap<String, usize>) -> Network {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        let mut prev_out: Option<usize> = None;
-        for layer in &self.layers {
-            let c_in = prev_out.unwrap_or_else(|| layer.c_in());
-            let (c_out, groups) = if layer.is_depthwise() {
-                (c_in, c_in)
-            } else {
-                (
-                    kept.get(layer.label())
-                        .copied()
-                        .unwrap_or_else(|| layer.c_out()),
-                    layer.groups(),
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `counts` has one entry per layer.
+    pub fn coupled_channels<'a>(
+        &'a self,
+        counts: &'a [usize],
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        // lint: allow(panic) — documented # Panics contract
+        assert_eq!(counts.len(), self.layers.len(), "one keep count per layer");
+        self.layers
+            .iter()
+            .zip(counts)
+            .scan(None, |prev_out: &mut Option<usize>, (layer, &kept)| {
+                let c_in = prev_out.unwrap_or_else(|| layer.c_in());
+                let c_out = if layer.is_depthwise() { c_in } else { kept };
+                *prev_out = Some(c_out);
+                Some((c_in, c_out))
+            })
+    }
+
+    /// Rebuilds the network as deployed with per-layer kept channel counts
+    /// in network order, coupled by [`Network::coupled_channels`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `counts` has one entry per layer, or if a dense
+    /// layer keeps 0 channels.
+    pub fn sequential_with_counts(&self, counts: &[usize]) -> Network {
+        let layers = self
+            .layers
+            .iter()
+            .zip(self.coupled_channels(counts))
+            .map(|(layer, (c_in, c_out))| {
+                let groups = if layer.is_depthwise() {
+                    c_in
+                } else {
+                    layer.groups()
+                };
+                ConvLayerSpec::new_grouped(
+                    layer.label(),
+                    layer.kernel(),
+                    layer.stride(),
+                    layer.pad(),
+                    c_in,
+                    c_out,
+                    layer.h_in(),
+                    layer.w_in(),
+                    groups,
                 )
-            };
-            layers.push(ConvLayerSpec::new_grouped(
-                layer.label(),
-                layer.kernel(),
-                layer.stride(),
-                layer.pad(),
-                c_in,
-                c_out,
-                layer.h_in(),
-                layer.w_in(),
-                groups,
-            ));
-            prev_out = Some(c_out);
-        }
+            })
+            .collect();
         Network {
             name: format!("{} (coupled prune)", self.name),
             layers,
         }
+    }
+
+    /// [`Network::sequential_with_counts`] with the counts given per
+    /// label; layers absent from the map keep their original count.
+    pub fn sequential_with_kept(&self, kept: impl Borrow<HashMap<String, usize>>) -> Network {
+        let kept = kept.borrow();
+        let counts: Vec<usize> = self
+            .layers
+            .iter()
+            .map(|l| kept.get(l.label()).copied().unwrap_or_else(|| l.c_out()))
+            .collect();
+        self.sequential_with_counts(&counts)
     }
 
     /// A copy of the network with every layer pruned by `distance` channels
@@ -203,6 +239,38 @@ mod tests {
         let original = net.layer("T.L1").unwrap().macs();
         let pruned = coupled.layer("T.L1").unwrap().macs();
         assert_eq!(pruned * 4, original);
+    }
+
+    /// The map form resolves to counts: an absent layer keeps its width.
+    #[test]
+    fn the_map_and_count_forms_deploy_alike() {
+        let net = crate::mobilenet_v1();
+        let mut kept = HashMap::new();
+        kept.insert("MobileNet.L2".to_string(), 48usize);
+        kept.insert("MobileNet.L3".to_string(), 5usize); // depthwise: ignored
+        let counts: Vec<usize> = net
+            .layers()
+            .iter()
+            .map(|l| kept.get(l.label()).copied().unwrap_or(l.c_out()))
+            .collect();
+        assert_eq!(
+            net.sequential_with_kept(&kept),
+            net.sequential_with_counts(&counts)
+        );
+        let walked: Vec<(usize, usize)> = net.coupled_channels(&counts).collect();
+        let built = net.sequential_with_counts(&counts);
+        assert!(walked
+            .iter()
+            .zip(built.layers())
+            .all(|(&(c_in, c_out), l)| (c_in, c_out) == (l.c_in(), l.c_out())));
+        assert_eq!(walked[2], (32, 48));
+        assert_eq!(walked[3], (48, 48), "the depthwise layer follows its input");
+    }
+
+    #[test]
+    #[should_panic(expected = "one keep count per layer")]
+    fn the_walk_wants_one_count_per_layer() {
+        let _ = tiny().coupled_channels(&[4]).count();
     }
 
     #[test]

@@ -131,11 +131,7 @@ impl PlanService {
         }
         let space = self.space(n, d, b);
         let (genome, point) = space.greedy(req.objective, req.budget);
-        let kept: Vec<(String, usize)> = genome
-            .iter()
-            .enumerate()
-            .map(|(i, &slot)| (space.label_of(i).to_string(), space.ladder(i)[slot].0))
-            .collect();
+        let counts = space.kept_counts(genome);
 
         // Verification pass: run the pruned network end to end through
         // the fallible path. With a fault seed the backend injects
@@ -144,7 +140,7 @@ impl PlanService {
         // The plan above used the clean backend, so one space serves
         // every fault seed.
         let (network, _) = self.prepared(n);
-        let pruned = network.sequential_with_kept(&space.kept_map(&genome));
+        let pruned = network.sequential_with_counts(&counts);
         let runner = NetworkRunner::new(&(DEVICES[d].1)())
             .with_cache(Arc::clone(&self.cache))
             .with_stats(Arc::clone(&self.stats));
@@ -176,7 +172,11 @@ impl PlanService {
             latency_ms: point.latency_ms,
             energy_mj: point.energy_mj,
             accuracy: point.accuracy,
-            kept,
+            kept: counts
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (space.label_of(i).to_string(), c))
+                .collect(),
             degraded: !partial.is_complete(),
             verified_ms: partial.report().total_ms(),
             failed,

@@ -15,8 +15,6 @@
 //! cargo run --release --example design_for_device
 //! ```
 
-use std::collections::HashMap;
-
 use pruneperf::backends::AclDirectTuned;
 use pruneperf::models::mobilenet_v1;
 use pruneperf::prelude::*;
@@ -48,15 +46,13 @@ fn main() {
     );
 
     // 2. Coupled deployment: kept counts propagate into successor inputs.
-    let kept: HashMap<String, usize> = plan.kept_channels().clone();
-    let coupled = network.sequential_with_kept(&kept);
+    let counts: Vec<usize> = plan.keeps().map(|(_, kept)| kept).collect();
+    let coupled = network.sequential_with_counts(&counts);
     let t_isolated: f64 = network
         .layers()
         .iter()
-        .map(|l| {
-            let c = kept.get(l.label()).copied().unwrap_or_else(|| l.c_out());
-            backend.latency_ms(&l.with_c_out(c).expect("valid"), &device)
-        })
+        .zip(&counts)
+        .map(|(l, &c)| backend.latency_ms(&l.with_c_out(c).expect("valid"), &device))
         .sum();
     let t_coupled: f64 = coupled
         .layers()

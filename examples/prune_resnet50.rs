@@ -63,15 +63,9 @@ fn main() {
     // Show one plan's per-layer decisions.
     if let Some(plan) = plans.first() {
         println!("\nfastest plan keeps, per layer:");
-        for layer in network.layers() {
-            let kept = plan.kept_for(layer.label()).unwrap_or(layer.c_out());
+        for ((label, kept), layer) in plan.keeps().zip(network.layers()) {
             if kept != layer.c_out() {
-                println!(
-                    "  {:<13} {:>4} -> {:>4} channels",
-                    layer.label(),
-                    layer.c_out(),
-                    kept
-                );
+                println!("  {label:<13} {:>4} -> {kept:>4} channels", layer.c_out());
             }
         }
     }

@@ -27,10 +27,8 @@ fn main() {
     let pruned_layers: Vec<ConvLayerSpec> = network
         .layers()
         .iter()
-        .map(|l| {
-            let kept = plan.kept_for(l.label()).unwrap_or(l.c_out());
-            l.with_c_out(kept).expect("plan is valid")
-        })
+        .zip(plan.keeps())
+        .map(|(l, (_, kept))| l.with_c_out(kept).expect("plan is valid"))
         .collect();
     let pruned = Network::new("ResNet-50 (perf-aware 0.7)", pruned_layers);
 

@@ -44,6 +44,8 @@ cargo test -q --release -p pruneperf-core --test search_differential
 cargo test -q --release -p pruneperf-core --lib pruner -- --include-ignored
 # --include-ignored adds the check of all 32 recorded ResNet-50 fronts
 cargo test -q --release --test search_cli -- --include-ignored
+# --include-ignored adds the plan audit's map-oracle differential on those 32 fronts
+cargo test -q --release -p pruneperf-analysis --lib network_verify -- --include-ignored
 cargo run --release -q -- search --network alexnet --json --jobs 1 > /tmp/pruneperf-search-seq.json
 cargo run --release -q -- search --network alexnet --json --jobs 8 > /tmp/pruneperf-search-par.json
 cmp /tmp/pruneperf-search-seq.json /tmp/pruneperf-search-par.json

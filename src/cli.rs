@@ -14,7 +14,7 @@ use pruneperf_core::accuracy::AccuracyModel;
 use pruneperf_core::search::{SearchAlgo, SearchConfig, SearchOutcome};
 use pruneperf_core::{report, sensitivity, PerfAwarePruner, Staircase};
 use pruneperf_gpusim::{render_trace, ChromeEvent, Engine};
-use pruneperf_models::{ConvLayerSpec, Network};
+use pruneperf_models::ConvLayerSpec;
 use pruneperf_profiler::{
     sweep, LatencyCache, LayerProfiler, NetworkRunner, Stats, ThermalGovernor,
 };
@@ -371,12 +371,11 @@ fn cmd_prune(f: &Flags) -> Result<String, CliError> {
         "{plan}\nenergy: {:.2} mJ\nper-layer keeps:\n",
         plan.energy_mj()
     );
-    for layer in network.layers() {
-        let kept = plan.kept_for(layer.label()).unwrap_or(layer.c_out());
+    for ((label, kept), layer) in plan.keeps().zip(network.layers()) {
         if kept != layer.c_out() {
             out.push_str(&format!(
                 "  {:<15} {:>5} -> {:>5}\n",
-                layer.label(),
+                label,
                 layer.c_out(),
                 kept
             ));
@@ -645,14 +644,8 @@ fn cmd_search(f: &Flags) -> Result<String, CliError> {
         try_write_file(path, &cache.persist(), "latency-cache snapshot")?;
     }
 
-    let rendered_json = render_search_json(
-        network_name,
-        device_name,
-        backend_name,
-        &config,
-        &network,
-        &outcome,
-    );
+    let rendered_json =
+        render_search_json(network_name, device_name, backend_name, &config, &outcome);
     if let Some(path) = f.get("out") {
         try_write_file(path, &rendered_json, "search report")?;
     }
@@ -677,22 +670,18 @@ fn cmd_search(f: &Flags) -> Result<String, CliError> {
         "plan", "ms", "mJ", "acc"
     ));
     for (i, plan) in outcome.plans.iter().enumerate() {
-        let kept: Vec<String> = network
-            .layers()
-            .iter()
-            .map(|l| {
-                let k = plan.kept_for(l.label()).unwrap_or(l.c_out());
-                format!("{k}/{}", l.c_out())
-            })
-            .collect();
-        out.push_str(&format!(
-            "{:<10} {:>10.3} {:>10.3} {:>8.2}%  {}\n",
+        let _ = write!(
+            out,
+            "{:<10} {:>10.3} {:>10.3} {:>8.2}% ",
             format!("#{i}"),
             plan.latency_ms(),
             plan.energy_mj(),
             plan.accuracy() * 100.0,
-            kept.join(" ")
-        ));
+        );
+        for ((_, k), layer) in plan.keeps().zip(network.layers()) {
+            let _ = write!(out, " {k}/{}", layer.c_out());
+        }
+        out.push('\n');
     }
     let stats = cache.stats();
     out.push_str(&format!("{stats}\n"));
@@ -713,7 +702,6 @@ fn render_search_json(
     device_name: &str,
     backend_name: &str,
     config: &SearchConfig,
-    network: &Network,
     outcome: &SearchOutcome,
 ) -> String {
     let mut out = String::from("{\n");
@@ -741,12 +729,14 @@ fn render_search_json(
             plan.energy_mj(),
             plan.accuracy()
         );
-        for (j, layer) in network.layers().iter().enumerate() {
+        for (j, (label, k)) in plan.keeps().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
-            let k = plan.kept_for(layer.label()).unwrap_or(layer.c_out());
-            let _ = write!(out, "\"{}\": {k}", layer.label());
+            out.push('"');
+            out.push_str(label);
+            out.push_str("\": ");
+            let _ = write!(out, "{k}");
         }
         out.push_str("}}");
         if i + 1 < outcome.plans.len() {

@@ -61,8 +61,9 @@ fn pruning_pipeline_runs_on_all_devices() {
         let plan = pruner.prune_to_latency(backend.as_ref(), &network, 0.9);
         assert!(plan.latency_ms() > 0.0, "{}", device.name());
         assert!(plan.accuracy() > 0.5, "{}", device.name());
-        for layer in network.layers() {
-            let kept = plan.kept_for(layer.label()).expect("every layer planned");
+        assert_eq!(plan.keeps().len(), network.len(), "every layer planned");
+        for ((label, kept), layer) in plan.keeps().zip(network.layers()) {
+            assert_eq!(label, layer.label());
             assert!(kept >= 1 && kept <= layer.c_out());
         }
     }

@@ -1,8 +1,12 @@
 //! End-to-end behaviour of `pruneperf search`: the JSON report is
 //! byte-identical across worker counts and across a persist/reload
 //! resume, the resumed run answers entirely from the restored cache, the
-//! ResNet-50 fronts match the benchmark's recorded digests, and the flag
-//! surface rejects malformed input instead of guessing.
+//! ResNet-50 fronts match the benchmark's recorded digests, the human
+//! table matches its golden, a closed stdout ends the output quietly, and
+//! the flag surface rejects malformed input instead of guessing.
+
+use std::io::Read as _;
+use std::process::{Command, Stdio};
 
 use pruneperf::cli::{run_cli, CliError};
 use pruneperf_backends::hash::fnv1a;
@@ -202,6 +206,45 @@ fn search_algorithms_and_seeds_behave() {
     assert_ne!(e1, e2, "different seeds must explore differently");
     let e1_again = search_json(&["--algo", "evolve", "--seed", "1", "--generations", "4"]);
     assert_eq!(e1, e1_again, "same seed must reproduce exactly");
+}
+
+/// The human report, recorded as `tests/goldens/search-alexnet.txt`: the
+/// front table and the cache line. A separate process at `--jobs 1`, so
+/// no other test's worker count reaches its cache counters.
+#[test]
+fn search_human_table_matches_its_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pruneperf"))
+        .args(["search", "--network", "alexnet", "--jobs", "1"])
+        .output()
+        .expect("pruneperf runs");
+    assert_eq!(out.status.code(), Some(0));
+    let golden = include_str!("goldens/search-alexnet.txt");
+    assert!(
+        out.stdout == golden.as_bytes(),
+        "search table differs from tests/goldens/search-alexnet.txt"
+    );
+}
+
+/// A reader that closes the pipe early (`search ... | head -c 10`) ends
+/// stdout, not the process: the 181 KB report is more than a 64 KiB pipe
+/// holds, so the write fails once the reader is gone.
+#[test]
+fn search_into_a_pipe_closed_early_exits_cleanly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pruneperf"))
+        .args(["search", "--network", "alexnet", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pruneperf starts");
+    let mut head = [0u8; 10];
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut head).expect("ten bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("pruneperf exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(&head, b"{\n  \"versi");
 }
 
 /// Malformed input is reported, not ignored.
