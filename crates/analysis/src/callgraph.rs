@@ -6,8 +6,8 @@
 //! over-approximates (unrelated same-named methods become edges) and never
 //! under-approximates within first-party code — the right bias for every
 //! consumer: the concurrency rules want every lock a callee *might* take,
-//! and the panic-path and resource-bound rules want every panic or
-//! recursion a fallible entry point *might* reach. Calls into `std` or
+//! and the resource-bound rules want every recursion a fallible entry
+//! point *might* reach. Calls into `std` or
 //! vendored dependencies resolve to nothing and are ignored.
 
 use std::collections::{BTreeMap, VecDeque};

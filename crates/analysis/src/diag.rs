@@ -1,7 +1,7 @@
 //! The structured-diagnostics core shared by both analysis layers.
 //!
 //! Every check — a paper invariant over a [`pruneperf_backends::DispatchPlan`]
-//! or a source lint over a file — reports through the same [`Diagnostic`]
+//! or a source rule over a file — reports through the same [`Diagnostic`]
 //! shape: a stable rule id, a severity, a location, a message and an
 //! optional fix hint. A [`Report`] collects them, sorts them into a single
 //! canonical order (so parallel analysis is byte-identical to sequential)
@@ -45,11 +45,11 @@ impl fmt::Display for Severity {
 /// One finding from either analysis layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule id (`"PA001"`, `"SL005"`, … — see [`crate::rules`]).
+    /// Stable rule id (`"PA001"`, `"CC004"`, … — see [`crate::rules`]).
     pub rule: &'static str,
     /// Finding severity.
     pub severity: Severity,
-    /// Where: `"path/to/file.rs:42"` for source lints, a
+    /// Where: `"path/to/file.rs:42"` for source rules, a
     /// `backend @ device / layer` triple for plan audits.
     pub location: String,
     /// What went wrong.
@@ -109,14 +109,14 @@ pub struct Report {
     diagnostics: Vec<Diagnostic>,
     /// Dispatch plans enumerated by the plan auditor.
     pub plans_audited: usize,
-    /// Source files scanned by the lint pass.
+    /// Source files scanned by the source-model analyses.
     pub files_scanned: usize,
     /// Network assemblies and pruning plans checked by the dataflow
     /// verifier.
     pub networks_verified: usize,
     /// Chain traces checked by the schedule auditor.
     pub traces_audited: usize,
-    /// Functions modeled by the concurrency/panic-path analyses.
+    /// Functions modeled by the concurrency/resource analyses.
     pub functions_modeled: usize,
 }
 
@@ -266,15 +266,15 @@ mod tests {
 
     #[test]
     fn report_sorts_canonically() {
-        let r1 = Report::new(vec![d("SL005", "b.rs:2", "x"), d("PA001", "a", "y")]);
-        let r2 = Report::new(vec![d("PA001", "a", "y"), d("SL005", "b.rs:2", "x")]);
+        let r1 = Report::new(vec![d("RB002", "b.rs:2", "x"), d("PA001", "a", "y")]);
+        let r2 = Report::new(vec![d("PA001", "a", "y"), d("RB002", "b.rs:2", "x")]);
         assert_eq!(r1, r2);
         assert_eq!(r1.diagnostics()[0].rule, "PA001");
     }
 
     #[test]
     fn counts_by_severity() {
-        let mut warn = d("SL006", "c.rs:1", "w");
+        let mut warn = d("CC002", "c.rs:1", "w");
         warn.severity = Severity::Warning;
         let r = Report::new(vec![d("PA001", "a", "y"), warn]);
         assert_eq!((r.errors(), r.warnings()), (1, 1));
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_order_and_counters() {
-        let mut a = Report::new(vec![d("SL001", "z.rs:9", "late")]);
+        let mut a = Report::new(vec![d("RB001", "z.rs:9", "late")]);
         a.plans_audited = 3;
         let mut b = Report::new(vec![d("PA002", "p", "early")]);
         b.files_scanned = 7;
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn family_counts_cover_every_family_in_order() {
-        let mut warn = d("SL006", "h.rs:3", "doc");
+        let mut warn = d("CC002", "h.rs:3", "guard");
         warn.severity = Severity::Warning;
         let r = Report::new(vec![
             d("PA001", "a", "y"),
@@ -334,21 +334,15 @@ mod tests {
         ]);
         let counts = r.family_counts();
         let prefixes: Vec<&str> = counts.iter().map(|(p, _)| *p).collect();
-        assert_eq!(
-            prefixes,
-            ["PA", "SL", "NV", "TA", "CC", "PN", "RB"],
-            "{counts:?}"
-        );
+        assert_eq!(prefixes, ["PA", "NV", "TA", "CC", "RB"], "{counts:?}");
         let get = |p: &str| counts.iter().find(|(q, _)| *q == p).map(|(_, n)| *n);
         assert_eq!(get("PA"), Some(1));
-        assert_eq!(get("SL"), Some(1));
+        assert_eq!(get("CC"), Some(1));
         assert_eq!(get("RB"), Some(1));
         assert_eq!(get("NV"), Some(0));
         let json = r.render_json();
         assert!(
-            json.contains(
-                r#""families": {"pa": 1, "sl": 1, "nv": 0, "ta": 0, "cc": 0, "pn": 0, "rb": 1}"#
-            ),
+            json.contains(r#""families": {"pa": 1, "nv": 0, "ta": 0, "cc": 1, "rb": 1}"#),
             "{json}"
         );
     }

@@ -1,11 +1,11 @@
 //! The lightweight per-function source model shared by the concurrency
-//! (`CC…`), panic-path (`PN…`) and resource-bound (`RB…`) analyses.
+//! (`CC…`) and resource-bound (`RB…`) analyses.
 //!
-//! Like the source lint, the parser here is deliberately token-level: no
-//! full Rust grammar, just comment/string stripping (so patterns never
-//! fire inside text), brace tracking (so every line belongs to exactly one
-//! innermost function) and pattern extraction tuned to this codebase's
-//! conventions. What it recovers per function:
+//! The parser here is deliberately token-level: no full Rust grammar,
+//! just comment/string stripping (so patterns never fire inside text),
+//! brace tracking (so every line belongs to exactly one innermost
+//! function) and pattern extraction tuned to this codebase's conventions.
+//! What it recovers per function:
 //!
 //! - **lock sites** — `lock()` / `read()` / `write()` acquisitions (the
 //!   reader/writer forms only in files that mention `RwLock`), each with a
@@ -15,8 +15,6 @@
 //! - **call sites** — identifiers applied to an argument list, resolved
 //!   later by bare name against every workspace function (a documented
 //!   over-approximation);
-//! - **panic sites** — `unwrap`/`expect`, the panicking macro family,
-//!   slice/array indexing and division by a `.len()`/`.count()` divisor;
 //! - **spawn sites and `Arc<Mutex<_>>` clones** — the raw material for
 //!   the cross-thread sharing rule;
 //! - **collection mutations** — grow (`push`/`insert`/`extend`…) and
@@ -116,35 +114,6 @@ pub struct CallSite {
     pub bare: bool,
 }
 
-/// What kind of panic a panic site can raise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()` / `.expect(…)` (suppressed by `lint: allow(unwrap)`).
-    Unwrap,
-    /// `panic!` / `assert!` / `assert_eq!` / `assert_ne!` /
-    /// `unreachable!` / `todo!` / `unimplemented!` (suppressed by
-    /// `lint: allow(panic)`). `debug_assert*` is exempt: it vanishes in
-    /// release builds, which is what the serving arc runs.
-    Macro,
-    /// Slice/array indexing `expr[…]` (suppressed by
-    /// `lint: allow(index)`).
-    Index,
-    /// Division or remainder with a `.len()` / `.count()` divisor
-    /// (suppressed by `lint: allow(div)`).
-    DivByLen,
-}
-
-/// One potential panic source inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// What kind of panic this site can raise.
-    pub kind: PanicKind,
-    /// 1-based line of the site.
-    pub line: usize,
-    /// The offending token, for the diagnostic message.
-    pub token: String,
-}
-
 /// Whether a collection mutation grows or shrinks its receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutKind {
@@ -186,8 +155,6 @@ pub struct FunctionModel {
     pub calls: Vec<CallSite>,
     /// Every lock acquisition, in source order.
     pub locks: Vec<LockSite>,
-    /// Every potential panic source, in source order.
-    pub panics: Vec<PanicSite>,
     /// Lines containing a `spawn(` call.
     pub spawn_lines: Vec<usize>,
     /// Lines cloning a tracked `Arc<Mutex<_>>` / `Arc<RwLock<_>>` value.
@@ -220,9 +187,9 @@ pub const CC_MARKER_KEYS: &[&str] = &[
 pub const RB_MARKER_KEYS: &[&str] = &["grow", "unbounded-channel", "recursion-bound"];
 
 /// The suppression-marker keys honored while a file is modeled, so a
-/// marked site never reaches the model: the panic-path keys and
-/// `cache-bound` on a cache struct's declaration (`RB003`).
-pub const EXTRACTION_MARKER_KEYS: &[&str] = &["unwrap", "panic", "index", "div", "cache-bound"];
+/// marked site never reaches the model: `cache-bound` on a cache struct's
+/// declaration (`RB003`).
+pub const EXTRACTION_MARKER_KEYS: &[&str] = &["cache-bound"];
 
 impl FunctionModel {
     /// A `lint: allow(key)` marker on `line` or the line above?
@@ -261,8 +228,7 @@ pub struct SourceModel {
 
 /// Builds the model for every first-party source file under `root`.
 ///
-/// Layout detection mirrors [`crate::source_lint::lint_sources`]: a
-/// *workspace* root (contains `crates/`) scans `src/**/*.rs` plus
+/// A *workspace* root (contains `crates/`) scans `src/**/*.rs` plus
 /// `crates/*/src/**/*.rs`; any other directory is a *fixture* tree and
 /// every `.rs` file under it is modeled. Test regions (everything from a
 /// column-0 `#[cfg(test)]` down) are excluded.
@@ -273,7 +239,8 @@ pub struct SourceModel {
 ///
 /// # Errors
 ///
-/// Returns any I/O error from walking or reading the tree.
+/// Returns any I/O error from walking or reading the tree, and
+/// [`io::ErrorKind::NotFound`] when no `.rs` file is found under `root`.
 pub fn build_model(root: &Path, jobs: usize) -> io::Result<SourceModel> {
     let inputs = read_sources(root)?;
     let per_file = sweep::ordered_parallel_map(&inputs, jobs, |(rel, content)| {
@@ -295,8 +262,11 @@ pub fn build_model(root: &Path, jobs: usize) -> io::Result<SourceModel> {
 }
 
 /// Reads every first-party `.rs` file under `root` (workspace or fixture
-/// layout), sorted by relative path.
-pub(crate) fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+/// layout), sorted by relative path. A root with no `.rs` file under it
+/// (a mistyped path, or a binary run outside its checkout) is the error
+/// [`io::ErrorKind::NotFound`]: a tree the analyses cannot see must not
+/// pass them.
+fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let workspace = root.join("crates").is_dir();
     let mut files: Vec<PathBuf> = Vec::new();
     if workspace {
@@ -324,6 +294,12 @@ pub(crate) fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
             .replace('\\', "/");
         inputs.push((rel, fs::read_to_string(path)?));
     }
+    if inputs.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            "no .rs file found under it",
+        ));
+    }
     inputs.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(inputs)
 }
@@ -350,7 +326,162 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-use crate::source_lint::marker_allows;
+/// `// lint: allow(key)` on this line?
+fn marker_allows(raw_line: &str, key: &str) -> bool {
+    let Some(idx) = raw_line.find("lint: allow(") else {
+        return false;
+    };
+    if !raw_line[..idx].contains("//") {
+        return false;
+    }
+    raw_line[idx + "lint: allow(".len()..]
+        .split(')')
+        .next()
+        .is_some_and(|k| k.trim() == key)
+}
+
+/// Blanks comments and string/char literal contents, preserving the line
+/// structure, so pattern matching never fires inside text.
+fn strip_code(src: &str) -> String {
+    let b: Vec<char> = src.chars().collect();
+    let n = b.len();
+    let mut out = String::with_capacity(src.len());
+    let mut i = 0;
+    let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
+    while i < n {
+        let c = b[i];
+        // Line comment.
+        if c == '/' && i + 1 < n && b[i + 1] == '/' {
+            while i < n && b[i] != '\n' {
+                out.push(' ');
+                i += 1;
+            }
+            continue;
+        }
+        // Block comment (nested).
+        if c == '/' && i + 1 < n && b[i + 1] == '*' {
+            let mut depth = 0usize;
+            while i < n {
+                if b[i] == '/' && i + 1 < n && b[i + 1] == '*' {
+                    depth += 1;
+                    out.push_str("  ");
+                    i += 2;
+                } else if b[i] == '*' && i + 1 < n && b[i + 1] == '/' {
+                    depth -= 1;
+                    out.push_str("  ");
+                    i += 2;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    out.push(blank(b[i]));
+                    i += 1;
+                }
+            }
+            continue;
+        }
+        // Raw (and byte) string literals: [b] r #* " … " #*
+        if c == 'r' || c == 'b' {
+            let prev_ident = i > 0 && (b[i - 1].is_alphanumeric() || b[i - 1] == '_');
+            if !prev_ident {
+                let mut j = i;
+                if b[j] == 'b' && j + 1 < n && (b[j + 1] == 'r' || b[j + 1] == '"') {
+                    j += 1;
+                }
+                if j < n && b[j] == 'r' {
+                    let mut k = j + 1;
+                    let mut hashes = 0;
+                    while k < n && b[k] == '#' {
+                        hashes += 1;
+                        k += 1;
+                    }
+                    if k < n && b[k] == '"' {
+                        // Blank through the matching closing quote+hashes.
+                        for &c in &b[i..=k] {
+                            out.push(blank(c));
+                        }
+                        i = k + 1;
+                        while i < n {
+                            if b[i] == '"'
+                                && b[i + 1..]
+                                    .iter()
+                                    .take(hashes)
+                                    .filter(|&&h| h == '#')
+                                    .count()
+                                    == hashes
+                            {
+                                for &c in &b[i..(i + 1 + hashes).min(n)] {
+                                    out.push(blank(c));
+                                }
+                                i += 1 + hashes;
+                                break;
+                            }
+                            out.push(blank(b[i]));
+                            i += 1;
+                        }
+                        continue;
+                    }
+                } else if j < n && b[j] == '"' && j > i {
+                    // b"…" byte string: fall through to the string case at j.
+                    out.push(' ');
+                    i = j;
+                    // handled by the '"' branch below on the next iteration
+                    continue;
+                }
+            }
+        }
+        // Plain string literal.
+        if c == '"' {
+            out.push(' ');
+            i += 1;
+            while i < n && b[i] != '"' {
+                if b[i] == '\\' && i + 1 < n {
+                    out.push(' ');
+                    out.push(blank(b[i + 1]));
+                    i += 2;
+                } else {
+                    out.push(blank(b[i]));
+                    i += 1;
+                }
+            }
+            if i < n {
+                out.push(' ');
+                i += 1;
+            }
+            continue;
+        }
+        // Char literal vs lifetime.
+        if c == '\'' {
+            let lifetime = i + 1 < n
+                && (b[i + 1].is_alphabetic() || b[i + 1] == '_')
+                && (i + 2 >= n || b[i + 2] != '\'');
+            if lifetime {
+                out.push('\'');
+                i += 1;
+                continue;
+            }
+            out.push(' ');
+            i += 1;
+            while i < n && b[i] != '\'' {
+                if b[i] == '\\' && i + 1 < n {
+                    out.push_str("  ");
+                    i += 2;
+                } else {
+                    out.push(blank(b[i]));
+                    i += 1;
+                }
+            }
+            if i < n {
+                out.push(' ');
+                i += 1;
+            }
+            continue;
+        }
+        out.push(c);
+        i += 1;
+    }
+    out
+}
 
 /// A marker on line `i` (0-based) or the line directly above suppresses
 /// the finding.
@@ -444,9 +575,7 @@ fn function_spans(stripped: &str) -> Vec<FnSpan> {
             }
             '}' => {
                 depth = depth.saturating_sub(1);
-                if open.last().is_some_and(|(_, _, od)| *od == depth) {
-                    // lint: allow(unwrap) — guarded by the line above
-                    let (name, start_line, _) = open.pop().unwrap();
+                if let Some((name, start_line, _)) = open.pop_if(|(_, _, od)| *od == depth) {
                     spans.push(FnSpan {
                         name,
                         start_line,
@@ -535,7 +664,7 @@ fn arc_mutex_names(code_lines: &[&str]) -> Vec<String> {
 
 /// Builds the per-function models for one file.
 pub(crate) fn model_file(rel: &str, raw: &str) -> Vec<FunctionModel> {
-    let stripped = crate::source_lint::strip_code(raw);
+    let stripped = strip_code(raw);
     let raw_lines: Vec<&str> = raw.lines().collect();
     let code_lines: Vec<&str> = stripped.lines().collect();
     // Everything from a column-0 `#[cfg(test)]` onward is test code.
@@ -564,7 +693,6 @@ pub(crate) fn model_file(rel: &str, raw: &str) -> Vec<FunctionModel> {
             end_line: s.end_line.min(test_start),
             calls: Vec::new(),
             locks: Vec::new(),
-            panics: Vec::new(),
             spawn_lines: Vec::new(),
             arc_mutex_clone_lines: Vec::new(),
             has_lock_order_doc: false,
@@ -599,7 +727,6 @@ pub(crate) fn model_file(rel: &str, raw: &str) -> Vec<FunctionModel> {
             spans[owner].end_line,
             &mut m.locks,
         );
-        extract_panics(&raw_lines, line, i, &mut m.panics);
         extract_mutations(line, lineno, &mut m.mutations);
         if !m.has_depth_bound_token && has_depth_bound_token(line) {
             m.has_depth_bound_token = true;
@@ -623,7 +750,7 @@ pub(crate) fn model_file(rel: &str, raw: &str) -> Vec<FunctionModel> {
 
 /// Extracts the per-file facts that live outside function bodies.
 pub(crate) fn file_facts(rel: &str, raw: &str) -> FileFacts {
-    let stripped = crate::source_lint::strip_code(raw);
+    let stripped = strip_code(raw);
     let raw_lines: Vec<&str> = raw.lines().collect();
     let test_start = raw_lines
         .iter()
@@ -942,133 +1069,6 @@ fn named_scope_end(
     fn_end
 }
 
-/// The panicking macro family (suppressed by `lint: allow(panic)`).
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "unreachable",
-    "todo",
-    "unimplemented",
-];
-
-/// Extracts potential panic sources from (stripped) line index `i`,
-/// honoring suppression markers on the raw line or the line above.
-fn extract_panics(raw_lines: &[&str], line: &str, i: usize, out: &mut Vec<PanicSite>) {
-    let lineno = i + 1;
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    if (line.contains(".unwrap()") || line.contains(".expect(")) && !allowed(raw_lines, i, "unwrap")
-    {
-        let token = if line.contains(".unwrap()") {
-            ".unwrap()"
-        } else {
-            ".expect(…)"
-        };
-        out.push(PanicSite {
-            kind: PanicKind::Unwrap,
-            line: lineno,
-            token: token.to_string(),
-        });
-    }
-    if !allowed(raw_lines, i, "panic") {
-        for mac in PANIC_MACROS {
-            let pat = format!("{mac}!");
-            let mut found = false;
-            for (idx, _) in line.match_indices(&pat) {
-                let before = line[..idx].chars().next_back();
-                if before.is_some_and(ident) {
-                    continue; // debug_assert! ends with assert! — exempt
-                }
-                found = true;
-            }
-            if found {
-                out.push(PanicSite {
-                    kind: PanicKind::Macro,
-                    line: lineno,
-                    token: format!("{mac}!"),
-                });
-                break; // one macro finding per line is enough
-            }
-        }
-    }
-    if !allowed(raw_lines, i, "index") {
-        let b: Vec<char> = line.chars().collect();
-        for (idx, _) in line.match_indices('[') {
-            let Some(&prev) = idx.checked_sub(1).and_then(|j| b.get(j)) else {
-                continue;
-            };
-            if !(ident(prev) || prev == ')' || prev == ']') {
-                continue;
-            }
-            // Find the matching close to inspect the index expression.
-            let mut depth = 0usize;
-            let mut close = None;
-            for (k, &c) in b.iter().enumerate().skip(idx) {
-                if c == '[' {
-                    depth += 1;
-                } else if c == ']' {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(k);
-                        break;
-                    }
-                }
-            }
-            let Some(close) = close else { continue };
-            let inner: String = b[idx + 1..close].iter().collect();
-            let inner = inner.trim();
-            if inner.is_empty() || inner == ".." {
-                continue; // full-range slicing cannot panic
-            }
-            // Receiver token, for the message.
-            let mut s = idx;
-            while s > 0 && (ident(b[s - 1]) || b[s - 1] == '.') {
-                s -= 1;
-            }
-            let recv: String = b[s..idx].iter().collect();
-            out.push(PanicSite {
-                kind: PanicKind::Index,
-                line: lineno,
-                token: format!("{recv}[{inner}]"),
-            });
-            break; // one indexing finding per line is enough
-        }
-    }
-    if !allowed(raw_lines, i, "div") {
-        for (idx, _) in line.match_indices(['/', '%']) {
-            let after = line[idx + 1..].trim_start();
-            // Walk one path expression forward and require it to end in
-            // `.len()` / `.count()` — the possibly-zero divisors. A `)`
-            // closing a paren opened *before* the divisor (as in
-            // `(n / v.len())`) ends the expression rather than joining it.
-            let mut depth = 0i32;
-            let path: String = after
-                .chars()
-                .take_while(|c| match c {
-                    '(' => {
-                        depth += 1;
-                        true
-                    }
-                    ')' => {
-                        depth -= 1;
-                        depth >= 0
-                    }
-                    _ => ident(*c) || *c == '.',
-                })
-                .collect();
-            if path.ends_with(".len()") || path.ends_with(".count()") {
-                out.push(PanicSite {
-                    kind: PanicKind::DivByLen,
-                    line: lineno,
-                    token: format!("{} {path}", &line[idx..=idx]),
-                });
-                break;
-            }
-        }
-    }
-}
-
 /// Methods that grow a collection receiver.
 const GROW_METHODS: &[&str] = &[
     "push",
@@ -1272,48 +1272,36 @@ fn f(&self) {
     }
 
     #[test]
-    fn panic_sites_cover_all_kinds_and_honor_markers() {
-        let src = "\
-fn f(v: &[u32], n: usize) -> u32 {
-    let a = v.first().unwrap();
-    assert!(n > 0);
-    let b = v[n + 1];
-    let c = n / v.len();
-    debug_assert!(n < 10);
-    let ok = v.first().unwrap(); // lint: allow(unwrap) — seeded
-    a + b + c as u32 + ok
-}
-";
-        let panics = &model(src)[0].panics;
-        let kinds: Vec<PanicKind> = panics.iter().map(|p| p.kind).collect();
-        assert!(kinds.contains(&PanicKind::Unwrap));
-        assert!(kinds.contains(&PanicKind::Macro));
-        assert!(kinds.contains(&PanicKind::Index));
-        assert!(kinds.contains(&PanicKind::DivByLen));
-        // debug_assert! is exempt; the marked unwrap is suppressed.
-        assert_eq!(kinds.iter().filter(|k| **k == PanicKind::Macro).count(), 1);
-        assert_eq!(kinds.iter().filter(|k| **k == PanicKind::Unwrap).count(), 1);
+    fn stripper_blanks_comments_and_literals() {
+        let src = "let x = \"Instant::now()\"; // Instant::now()\nlet y = 'a'; let l: &'static str = s;\n/* multi\nline */ let z = 1;\n";
+        let s = strip_code(src);
+        assert!(!s.contains("Instant"), "{s}");
+        assert!(s.contains("let x ="));
+        assert!(s.contains("let z = 1;"));
+        assert!(s.contains("&'static str"));
+        assert_eq!(s.lines().count(), src.lines().count());
     }
 
     #[test]
-    fn parenthesized_div_by_len_is_still_detected() {
-        let src = "fn f(v: &[u32], n: usize) -> u32 { (n / v.len()) as u32 }\n";
-        let panics = &model(src)[0].panics;
-        assert_eq!(panics.len(), 1, "{panics:?}");
-        assert_eq!(panics[0].kind, PanicKind::DivByLen);
-        assert_eq!(panics[0].token, "/ v.len()");
+    fn stripper_handles_raw_strings() {
+        let src = "let p = r#\"thread_rng()\"#;\nlet q = r\"SystemTime::now()\";\nnext();\n";
+        let s = strip_code(src);
+        assert!(!s.contains("thread_rng"), "{s}");
+        assert!(!s.contains("SystemTime"), "{s}");
+        assert!(s.contains("next();"));
     }
 
     #[test]
-    fn full_range_slicing_and_macros_are_not_indexing() {
-        let src = "fn f(v: &[u32]) { let a = &v[..]; let b = vec![1, 2]; let c = v[..2].len(); }\n";
-        let panics = &model(src)[0].panics;
-        let idx: Vec<&PanicSite> = panics
-            .iter()
-            .filter(|p| p.kind == PanicKind::Index)
-            .collect();
-        assert_eq!(idx.len(), 1, "{panics:?}");
-        assert!(idx[0].token.contains("..2"), "{idx:?}");
+    fn markers_suppress_by_key() {
+        assert!(marker_allows(
+            "self.v.push(1); // lint: allow(grow) — seeded above",
+            "grow"
+        ));
+        assert!(!marker_allows(
+            "self.v.push(1); // lint: allow(grow)",
+            "cache-bound"
+        ));
+        assert!(!marker_allows("self.v.push(1); // allow(grow)", "grow"));
     }
 
     #[test]

@@ -1159,6 +1159,10 @@ mod tests {
                 }
             }
             if matched < kept.len() {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the findings are sorted by label below"
+                )]
                 let unknown = kept.keys().filter(|label| network.layer(label).is_none());
                 found.extend(unknown.map(|label| {
                     let msg = format!("plan prunes unknown layer '{label}'");

@@ -35,8 +35,19 @@ use std::collections::BTreeMap;
 use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
 use crate::model::MutKind;
-use crate::panic_path::FALLIBLE_ROOTS;
 use crate::rules;
+
+/// Bare names of the fallible API surface — the functions whose contract
+/// is "errors, never panics" and the roots of the `RB004` recursion walk.
+pub const FALLIBLE_ROOTS: &[&str] = &[
+    "latency_curve_partial",
+    "try_cost",
+    "try_measure",
+    "try_respond",
+    "try_run",
+    "try_write_file",
+    "with_retry",
+];
 
 /// Call names that construct an unbounded channel (`RB002`).
 const UNBOUNDED_CHANNEL_CALLS: &[&str] = &["channel", "unbounded"];

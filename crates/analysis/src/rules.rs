@@ -2,25 +2,23 @@
 //!
 //! Ids are load-bearing — they appear in JSON output, CI logs, tests and
 //! `DESIGN.md` — so they are append-only: never renumber, never reuse.
-//! A retired rule's id (the `PF…` hot-path family) stays retired; the
-//! ledger in `docs/RULE_CATALOG.md` records why.
+//! A retired rule's id (the `PF…` hot-path family, the `SL…` source lint
+//! and the `PN…` panic-path rules) stays retired; the ledger in
+//! `docs/RULE_CATALOG.md` records why.
 //!
 //! To add a rule: pick the next free id in the right family (see
 //! [`FAMILIES`]), add a [`RuleInfo`] row here, implement the check in
-//! [`crate::plan_audit`] / [`crate::source_lint`] /
-//! [`crate::network_verify`] / [`crate::trace_audit`] /
-//! [`crate::concurrency`] / [`crate::panic_path`] /
-//! [`crate::resource`] citing the id, and add at least one test that
-//! seeds a violation.
+//! [`crate::plan_audit`] / [`crate::network_verify`] /
+//! [`crate::trace_audit`] / [`crate::concurrency`] / [`crate::resource`]
+//! citing the id, and add at least one test that seeds a violation.
 
 use crate::diag::Severity;
 
 /// Catalog row for one rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleInfo {
-    /// Stable id (`PA…` = plan audit, `SL…` = source lint,
-    /// `NV…` = network dataflow verifier, `TA…` = schedule-trace auditor,
-    /// `CC…` = concurrency discipline, `PN…` = panic-path reachability,
+    /// Stable id (`PA…` = plan audit, `NV…` = network dataflow verifier,
+    /// `TA…` = schedule-trace auditor, `CC…` = concurrency discipline,
     /// `RB…` = resource bounds).
     pub id: &'static str,
     /// Default severity of a violation.
@@ -59,28 +57,6 @@ pub const PA009: &str = "PA009";
 /// 4×4 tiling, fallback schedules the direct-style shape with active
 /// accounting.
 pub const PA010: &str = "PA010";
-
-/// No wall-clock reads (`Instant`/`SystemTime`) in simulator or profiler
-/// paths — time must come from the deterministic engine.
-pub const SL001: &str = "SL001";
-/// No ad-hoc RNG (`thread_rng`, `from_entropy`) — randomness must be
-/// seeded and explicit.
-pub const SL002: &str = "SL002";
-/// No `HashMap`/`HashSet` iteration feeding ordered output or float
-/// accumulation — iteration order is run-to-run nondeterministic.
-pub const SL003: &str = "SL003";
-/// Every crate root carries `#![forbid(unsafe_code)]`.
-pub const SL004: &str = "SL004";
-/// No `unwrap()`/`expect()` in non-test library code outside the
-/// allowlist; provably-infallible sites carry a `// lint: allow(unwrap)`
-/// marker.
-pub const SL005: &str = "SL005";
-/// Public items in `gpusim` and `backends` carry doc comments.
-pub const SL006: &str = "SL006";
-/// No direct `==`/`!=` comparison against float literals outside
-/// `// lint: allow(float-eq)` sites — exact float equality is a
-/// determinism and portability hazard.
-pub const SL007: &str = "SL007";
 
 /// Conv output channels propagate: every convolution's input channels
 /// equal the channel count produced by the preceding op.
@@ -131,17 +107,6 @@ pub const CC006: &str = "CC006";
 /// No lock is re-acquired (directly or through calls) while its own
 /// guard is still live — a guaranteed self-deadlock with `Mutex`.
 pub const CC007: &str = "CC007";
-
-/// No unmarked `unwrap()`/`expect()` transitively reachable from the
-/// fallible API surface (`try_cost`, `try_measure`, `try_run`,
-/// `latency_curve_partial`, `with_retry`).
-pub const PN001: &str = "PN001";
-/// No panicking macro (`panic!`, `assert!`, …) transitively reachable
-/// from the fallible API surface.
-pub const PN002: &str = "PN002";
-/// No unmarked slice/array indexing or div-by-`len()` transitively
-/// reachable from the fallible API surface.
-pub const PN003: &str = "PN003";
 
 /// No grow-only struct-field collection: a field receiving
 /// `push`/`insert`/`extend` somewhere in the workspace must have a
@@ -228,41 +193,6 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "TVM emits a single fused kernel matching its schedule kind",
     },
     RuleInfo {
-        id: SL001,
-        severity: Severity::Error,
-        summary: "no wall-clock reads in simulator/profiler paths",
-    },
-    RuleInfo {
-        id: SL002,
-        severity: Severity::Error,
-        summary: "no ad-hoc RNG outside seeded, explicit generators",
-    },
-    RuleInfo {
-        id: SL003,
-        severity: Severity::Error,
-        summary: "no HashMap/HashSet iteration feeding ordered output or float sums",
-    },
-    RuleInfo {
-        id: SL004,
-        severity: Severity::Error,
-        summary: "every crate root forbids unsafe code",
-    },
-    RuleInfo {
-        id: SL005,
-        severity: Severity::Warning,
-        summary: "no unmarked unwrap()/expect() in non-test library code",
-    },
-    RuleInfo {
-        id: SL006,
-        severity: Severity::Warning,
-        summary: "public items in gpusim/backends carry doc comments",
-    },
-    RuleInfo {
-        id: SL007,
-        severity: Severity::Error,
-        summary: "no unmarked ==/!= comparisons against float literals",
-    },
-    RuleInfo {
         id: NV001,
         severity: Severity::Error,
         summary: "conv input channels equal the propagated producer channels",
@@ -338,21 +268,6 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "no lock re-acquired while its own guard is live",
     },
     RuleInfo {
-        id: PN001,
-        severity: Severity::Error,
-        summary: "no unmarked unwrap()/expect() reachable from the fallible API",
-    },
-    RuleInfo {
-        id: PN002,
-        severity: Severity::Error,
-        summary: "no panicking macro reachable from the fallible API",
-    },
-    RuleInfo {
-        id: PN003,
-        severity: Severity::Error,
-        summary: "no unmarked indexing or div-by-len reachable from the fallible API",
-    },
-    RuleInfo {
         id: RB001,
         severity: Severity::Error,
         summary: "no grow-only struct-field collection without a shrink site",
@@ -411,11 +326,9 @@ pub const CATALOG: &[RuleInfo] = &[
 /// rules can land in [`CATALOG`].
 pub const FAMILIES: &[(&str, &str)] = &[
     ("PA", "plan audit"),
-    ("SL", "source lint"),
     ("NV", "network dataflow verifier"),
     ("TA", "schedule-trace auditor"),
     ("CC", "concurrency discipline"),
-    ("PN", "panic-path reachability"),
     ("RB", "resource bounds"),
 ];
 
@@ -474,7 +387,7 @@ mod tests {
     fn lookup_finds_rules() {
         assert_eq!(rule_info(PA001).map(|r| r.severity), Some(Severity::Error));
         assert_eq!(
-            rule_info(SL005).map(|r| r.severity),
+            rule_info(CC002).map(|r| r.severity),
             Some(Severity::Warning)
         );
         assert!(rule_info("ZZ999").is_none());

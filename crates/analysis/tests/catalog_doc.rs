@@ -3,7 +3,14 @@
 //! id has a doc entry, every doc entry names a live rule, and the
 //! documented severity matches the table.
 
-use std::collections::BTreeMap;
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use pruneperf_analysis::{rules, Severity};
@@ -78,6 +85,31 @@ fn every_family_has_a_doc_section() {
             doc.lines()
                 .any(|l| l.starts_with("## ") && l[3..].starts_with(prefix)),
             "RULE_CATALOG.md has no `## {prefix} — …` section"
+        );
+    }
+}
+
+#[test]
+fn retired_families_stay_retired() {
+    // Each ledger row starts with its ids (`| SL001 (…) |`); a retired
+    // family's prefix is never registered again.
+    let doc = catalog_doc();
+    let (_, ledger) = doc
+        .split_once("## Retired rules")
+        .expect("RULE_CATALOG.md has a `## Retired rules` section");
+    let retired: BTreeSet<String> = ledger
+        .lines()
+        .filter_map(|l| l.strip_prefix("| "))
+        .map(|row| row.chars().take(2).collect::<String>())
+        .filter(|p| p.len() == 2 && p.chars().all(|c| c.is_ascii_uppercase()))
+        .collect();
+    for family in ["PF", "SL", "PN"] {
+        assert!(retired.contains(family), "the ledger has no {family} row");
+    }
+    for (prefix, name) in rules::FAMILIES {
+        assert!(
+            !retired.contains(*prefix),
+            "{prefix} ({name}) reuses a retired family's prefix"
         );
     }
 }

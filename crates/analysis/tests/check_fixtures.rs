@@ -1,5 +1,5 @@
-//! The concurrency/panic-path/resource checker over the seeded fixture
-//! trees: one deliberately-bad tree per CC/PN/RB rule, a clean
+//! The concurrency/resource checker over the seeded fixture trees: one
+//! deliberately-bad tree per CC/RB rule, a clean
 //! tree that exercises the same shapes without violating anything, and a
 //! byte-identity guarantee across worker counts.
 
@@ -23,9 +23,6 @@ fn each_seeded_fixture_trips_its_rule() {
         ("cc005", rules::CC005),
         ("cc006", rules::CC006),
         ("cc007", rules::CC007),
-        ("pn001", rules::PN001),
-        ("pn002", rules::PN002),
-        ("pn003", rules::PN003),
         ("rb001", rules::RB001),
         ("rb002", rules::RB002),
         ("rb003", rules::RB003),
@@ -45,8 +42,8 @@ fn seeded_fixtures_stay_on_target() {
     // Each bad tree seeds exactly one hazard; a fixture that also trips
     // unrelated rules would stop isolating the rule it names.
     for dir in [
-        "cc001", "cc002", "cc003", "cc004", "cc005", "cc006", "cc007", "pn001", "pn002", "rb001",
-        "rb002", "rb003", "rb004",
+        "cc001", "cc002", "cc003", "cc004", "cc005", "cc006", "cc007", "rb001", "rb002", "rb003",
+        "rb004",
     ] {
         let report = run_check(&fixture(dir), 1).expect("fixture tree readable");
         let rules_hit: Vec<&str> = report.diagnostics().iter().map(|d| d.rule).collect();
@@ -57,15 +54,6 @@ fn seeded_fixtures_stay_on_target() {
             report.render_human()
         );
     }
-    // pn003 seeds two sites (index and division) under the same rule.
-    let report = run_check(&fixture("pn003"), 1).expect("fixture tree readable");
-    let rules_hit: Vec<&str> = report.diagnostics().iter().map(|d| d.rule).collect();
-    assert_eq!(
-        rules_hit,
-        vec![rules::PN003, rules::PN003],
-        "{}",
-        report.render_human()
-    );
 }
 
 #[test]
@@ -77,7 +65,7 @@ fn clean_fixture_is_clean() {
 
 #[test]
 fn fixture_reports_are_identical_across_worker_counts() {
-    for dir in ["cc001", "pn001", "rb001", "clean"] {
+    for dir in ["cc001", "rb001", "clean"] {
         let sequential = run_check(&fixture(dir), 1).expect("fixture tree readable");
         let parallel = run_check(&fixture(dir), 8).expect("fixture tree readable");
         assert_eq!(sequential.render_json(), parallel.render_json(), "{dir}");

@@ -1,5 +1,5 @@
 //! A tree that exercises locks, fan-out, the fallible surface, loops and
-//! long-lived state while violating no CC/PN/RB rule: consistent lock
+//! long-lived state while violating no CC/RB rule: consistent lock
 //! order, poison recovery, guards dropped before calls, error returns
 //! instead of panics, a local collection grown in a loop, a bounded
 //! cache with an eviction path, and fuel-bounded recursion.

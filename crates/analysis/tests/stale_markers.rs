@@ -3,11 +3,17 @@
 //! whose rule was retired, or whose key is mistyped, suppresses nothing,
 //! so it would otherwise linger unnoticed.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast on an unreadable tree"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use pruneperf_analysis::model::{CC_MARKER_KEYS, EXTRACTION_MARKER_KEYS, RB_MARKER_KEYS};
-use pruneperf_analysis::source_lint::SL_MARKER_KEYS;
 
 /// The key of the `// lint: allow(<key>)` line comment on `line`, if any.
 /// Doc comments, markers quoted in backticks (docs and hint text) and
@@ -53,13 +59,7 @@ fn every_marker_names_a_live_rule_key() {
     }
     assert!(files.len() > 50, "found only {} source files", files.len());
 
-    let live: Vec<&str> = [
-        SL_MARKER_KEYS,
-        CC_MARKER_KEYS,
-        RB_MARKER_KEYS,
-        EXTRACTION_MARKER_KEYS,
-    ]
-    .concat();
+    let live: Vec<&str> = [CC_MARKER_KEYS, RB_MARKER_KEYS, EXTRACTION_MARKER_KEYS].concat();
     let mut stale = Vec::new();
     let mut markers = 0;
     for path in &files {
@@ -75,7 +75,9 @@ fn every_marker_names_a_live_rule_key() {
             }
         }
     }
-    assert!(markers > 50, "found only {markers} markers");
+    // The tree holds 11 markers (7 `grow`, 2 `recursion-bound`, 1
+    // `cache-bound`, 1 `unbounded-channel`); fewer means the scan broke.
+    assert!(markers >= 11, "found only {markers} markers");
     assert!(
         stale.is_empty(),
         "markers no rule reads:\n{}",

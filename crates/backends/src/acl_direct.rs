@@ -68,7 +68,6 @@ impl AclDirect {
         let narrow_gather = 0.35 + 0.65 * (layer.c_out() as f64 / 32.0).min(1.0);
         let one_by_one = layer.kernel() == 1;
         narrow_gather
-            // lint: allow(index) — wg is [usize; 3]; a constant index is compile-checked
             * match wg[0] {
                 x if x >= 4 => 0.95,
                 2 => {
@@ -99,7 +98,6 @@ impl AclDirect {
     /// layers).
     pub(crate) fn exec_efficiency_for(layer: &ConvLayerSpec, wg: [usize; 3]) -> f64 {
         let one_by_one = layer.kernel() == 1;
-        // lint: allow(index) — wg is [usize; 3]; a constant index is compile-checked
         let base = match wg[0] {
             x if x >= 4 => 1.0,
             2 => {
@@ -117,7 +115,6 @@ impl AclDirect {
                 }
             }
         };
-        // lint: allow(index) — wg is [usize; 3]; a constant index is compile-checked
         if wg[0] == 1 && one_by_one {
             let narrowness = (layer.c_in() as f64 / 256.0).min(1.0);
             base * (0.45 + 0.55 * narrowness)

@@ -98,7 +98,10 @@ impl Cudnn {
             (CudnnAlgorithm::ImplicitGemm, _) => (0.35, "implicit_gemm_conv"),
             (CudnnAlgorithm::ImplicitPrecompGemm, 1) => (0.70, "implicit_precomp_gemm_conv"),
             (CudnnAlgorithm::ImplicitPrecompGemm, _) => (0.38, "implicit_precomp_gemm_conv"),
-            // lint: allow(panic) — winograd is routed to its own chain before this match
+            #[expect(
+                clippy::unreachable,
+                reason = "winograd is routed to its own chain before this match"
+            )]
             (CudnnAlgorithm::Winograd, _) => unreachable!("winograd uses its own chain"),
         };
         let mut chain = JobChain::new();

@@ -36,9 +36,6 @@
 //! assert_eq!(gemms, 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod acl_auto;
 mod acl_direct;
 mod acl_gemm;

@@ -100,6 +100,7 @@ mod override_entries {
         map: &HashMap<WorkloadKey, Schedule>,
         ser: S,
     ) -> Result<S::Ok, S::Error> {
+        #[expect(clippy::disallowed_methods, reason = "sorted by key on the next line")]
         let mut entries: Vec<(WorkloadKey, Schedule)> = map.iter().map(|(k, v)| (*k, *v)).collect();
         entries.sort_by_key(|(k, _)| (k.kernel, k.stride, k.h_in, k.c_in, k.c_out));
         serde::Serialize::serialize(&entries, ser)
@@ -138,6 +139,7 @@ impl TuningLog {
     pub fn fingerprint(&self) -> u64 {
         let mut bytes = Vec::with_capacity(32 + self.overrides.len() * 48);
         bytes.extend_from_slice(self.device.as_bytes());
+        #[expect(clippy::disallowed_methods, reason = "sorted by key on the next line")]
         let mut entries: Vec<(&WorkloadKey, &Schedule)> = self.overrides.iter().collect();
         entries.sort_by_key(|(k, _)| (k.kernel, k.stride, k.h_in, k.c_in, k.c_out));
         for (key, schedule) in entries {

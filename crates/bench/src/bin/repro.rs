@@ -14,6 +14,13 @@
 //! JSON/CSV artifacts are byte-identical at any worker count; cache and
 //! worker diagnostics go to stderr.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the experiment driver fails fast: a malformed experiment should panic, not limp on"
+)]
+
 use std::fmt::Display;
 use std::io::{ErrorKind, Stdout, Write as _};
 use std::process::ExitCode;

@@ -1,5 +1,12 @@
 //! The experiment registry.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the experiment harness fails fast: a malformed experiment should panic, not limp on"
+)]
+
 mod extensions;
 mod figures;
 mod tables;

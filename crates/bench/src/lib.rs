@@ -12,9 +12,6 @@
 //! cargo run -p pruneperf-bench --bin repro -- all
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod micro;
 

@@ -90,10 +90,10 @@ fn hikey() -> Device {
     Device::mali_g72_hikey970()
 }
 
+#[expect(clippy::expect_used, reason = "the static catalog always carries L16")]
 fn l16() -> ConvLayerSpec {
     resnet50()
         .layer("ResNet.L16")
-        // lint: allow(unwrap) — the static catalog always carries L16
         .expect("catalog has L16")
         .clone()
 }

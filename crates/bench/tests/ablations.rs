@@ -7,6 +7,13 @@
 //! grounding: Fig 18 (the split GEMM's extra job), Table V (workgroup
 //! shapes), Figs 19–20 (TVM tuning) and §V (performance-aware pruning).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use pruneperf_backends::{tuning::TuningLog, AclDirect, AclGemm, ConvBackend, Tvm};
 use pruneperf_core::{accuracy::AccuracyModel, PerfAwarePruner, UninstructedPruner};
 use pruneperf_gpusim::Device;

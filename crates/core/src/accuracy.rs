@@ -45,7 +45,6 @@ impl AccuracyModel {
     /// ResNet-50); `sensitivity` scales how much accuracy a fully pruned
     /// layer would cost (default via [`AccuracyModel::for_network`]: 0.30).
     pub fn new(network: &Network, base_accuracy: f64, sensitivity: f64) -> Self {
-        // lint: allow(panic) — documented precondition: base_accuracy is a fraction
         assert!(
             (0.0..=1.0).contains(&base_accuracy),
             "base accuracy must be a fraction"
@@ -127,6 +126,10 @@ impl AccuracyModel {
     ///
     /// Panics if a label is unknown or a count is invalid — the pruner
     /// constructs these maps from the same catalog, so mismatches are bugs.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "accuracy_of sorts the pairs by label before summing"
+    )]
     pub fn accuracy_with(&self, kept_channels: &HashMap<String, usize>) -> f64 {
         self.accuracy_of(kept_channels.iter().map(|(l, &k)| (l.as_str(), k)))
     }
@@ -143,6 +146,10 @@ impl AccuracyModel {
         let mut entries: Vec<(&str, usize)> = kept.into_iter().collect();
         entries.sort();
         let mut loss = 0.0;
+        #[expect(
+            clippy::panic,
+            reason = "documented # Panics contract: the pruner builds these maps from the same catalog"
+        )]
         for (label, kept) in entries {
             loss += self
                 .loss_term(label, kept)

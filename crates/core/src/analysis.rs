@@ -169,7 +169,10 @@ fn build(
         // Latency at every pruned count from 1..=max_d (where valid).
         let ratios: Vec<f64> = (1..=max_d.min(layer.c_out().saturating_sub(1)))
             .map(|p| {
-                // lint: allow(unwrap) — p is capped at c_out - 1 by the range above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "p is capped at c_out - 1 by the range above"
+                )]
                 let pruned = layer.pruned_by(p).expect("distance checked");
                 let t = profiler.measure(backend, &pruned).median_ms();
                 match kind {
@@ -180,7 +183,6 @@ fn build(
             .collect();
         for (row, &d) in distances.iter().enumerate() {
             let cell = if d <= ratios.len() {
-                // lint: allow(index) — guarded by `d <= ratios.len()` on the line above
                 ratios[..d]
                     .iter()
                     .copied()
@@ -190,7 +192,6 @@ fn build(
             } else {
                 None
             };
-            // lint: allow(index) — row comes from enumerate() over cells' own rows
             cells[row].push(cell);
         }
     }

@@ -43,9 +43,6 @@
 //! assert!(staircase.optimal_points().iter().any(|p| p.channels == 96));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod accuracy;
 pub mod analysis;
 mod pareto;

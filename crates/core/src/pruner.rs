@@ -30,7 +30,6 @@ impl Keeps {
     ///
     /// Panics if the lengths differ.
     pub(crate) fn new(labels: Arc<[String]>, counts: Vec<usize>) -> Self {
-        // lint: allow(panic) — documented # Panics contract
         assert_eq!(labels.len(), counts.len(), "one keep count per label");
         Keeps { labels, counts }
     }
@@ -209,7 +208,10 @@ fn plan_cost(
         .iter()
         .zip(counts)
         .map(|(l, &c)| {
-            // lint: allow(unwrap) — kept counts never exceed the catalog c_out
+            #[expect(
+                clippy::expect_used,
+                reason = "kept counts never exceed the catalog c_out"
+            )]
             let layer = l.with_c_out(c).expect("keep count validated");
             (
                 profiler.measure(backend, &layer).median_ms(),
@@ -593,7 +595,6 @@ mod tests {
                         if c >= cur_c {
                             return None;
                         }
-                        // lint: allow(unwrap) — ladder counts come from 1..=c_out
                         let pruned = layer.with_c_out(c).expect("ladder in range");
                         let mj = self.profiler.energy_mj(backend, &pruned);
                         (mj < cur_mj).then_some((c, mj))

@@ -113,11 +113,18 @@ impl SearchSpace {
             }
             // Every key below was measured by the staircase sweep above,
             // so the table costs cache hits only.
+            #[expect(
+                clippy::expect_used,
+                reason = "ladder entries come from the layer's own staircase"
+            )]
             let specs: Vec<ConvLayerSpec> = cands
                 .iter()
-                // lint: allow(unwrap) — ladder entries come from the layer's own staircase
                 .map(|&(kept, _)| layer.with_c_out(kept).expect("ladder count validated"))
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "documented # Panics contract: the accuracy model covers the network"
+            )]
             let slots = profiler
                 .measure_batch(backend, &specs)
                 .iter()
@@ -127,7 +134,6 @@ impl SearchSpace {
                     energy_mj: profiler.energy_mj(backend, spec),
                     loss: accuracy
                         .loss_term(layer.label(), spec.c_out())
-                        // lint: allow(unwrap) — documented # Panics contract
                         .expect("accuracy model covers the network"),
                 })
                 .collect();
@@ -184,9 +190,9 @@ impl SearchSpace {
             .try_fold(1, |total: usize, c| total.checked_mul(c.len()));
         match total {
             Some(total) if total <= cap => total,
-            // lint: allow(panic) — documented # Panics contract
+            #[expect(clippy::panic, reason = "documented # Panics contract")]
             Some(total) => panic!("{total} configurations exceed the {what} cap {cap}"),
-            // lint: allow(panic) — documented # Panics contract
+            #[expect(clippy::panic, reason = "documented # Panics contract")]
             None => panic!("more than 2^64 configurations exceed the {what} cap {cap}"),
         }
     }

@@ -51,12 +51,12 @@ impl Shootout {
                     .iter()
                     .map(|b| profiler.measure(b.as_ref(), layer).median_ms())
                     .collect();
+                #[expect(clippy::expect_used, reason = "`run` asserts backends is non-empty")]
                 let winner = ms
                     .iter()
                     .enumerate()
                     .min_by(|a, b| a.1.total_cmp(b.1))
                     .map(|(i, _)| i)
-                    // lint: allow(unwrap) — `run` asserts backends is non-empty
                     .expect("at least one backend");
                 ShootoutRow {
                     label: layer.label().to_string(),
@@ -109,11 +109,11 @@ impl Shootout {
     ///
     /// Panics on a shootout with no backends (only constructible by
     /// deserializing a degenerate report; [`Shootout::run`] asserts).
+    #[expect(clippy::expect_used, reason = "`run` asserts backends is non-empty")]
     pub fn best_single_backend(&self) -> (usize, f64) {
         (0..self.backend_names.len())
             .map(|i| (i, self.rows.iter().map(|r| r.ms[i]).sum::<f64>()))
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            // lint: allow(unwrap) — `run` asserts backends is non-empty
             .expect("at least one backend")
     }
 }

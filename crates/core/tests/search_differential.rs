@@ -19,6 +19,13 @@
 //! device so the beam covers enough of each space; they are part of the
 //! pinned fixture.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use pruneperf_backends::AclGemm;
 use pruneperf_core::search::{
     exhaustive_prune_to_latency, search, ParetoPoint, SearchAlgo, SearchConfig, SearchOutcome,

@@ -418,7 +418,6 @@ impl DeviceBuilder {
     /// Panics if any structural parameter is zero or non-positive.
     pub fn build(self) -> Device {
         let d = self.device;
-        // lint: allow(panic) — documented # Panics contract: zero extents are builder bugs
         assert!(
             d.cores > 0
                 && d.warp_width > 0

@@ -335,7 +335,6 @@ impl<'d> Engine<'d> {
                 counters.submissions += 1;
             }
             let start = now_us;
-            // lint: allow(index) — scratch columns get one push per chain job above
             now_us += overhead + scratch.gpu_us[i];
             // CPU time spent dispatching. (mW * µs = nJ; / 1000 -> µJ.)
             dispatch_energy_uj += d.dispatch_mw() * overhead / 1e6;
@@ -347,13 +346,11 @@ impl<'d> Engine<'d> {
                 name: kernel.name().to_string(),
                 start_us: start,
                 end_us: now_us,
-                // lint: allow(index) — scratch columns get one push per chain job above
                 gpu_cycles: scratch.gpu_cycles[i].round() as u64,
                 arith_instructions: kernel.total_arith(),
                 mem_instructions: kernel.total_mem(),
                 workgroups: kernel.workgroup_count(),
                 footprint_bytes: kernel.footprint_bytes(),
-                // lint: allow(index) — scratch columns get one push per chain job above
                 energy_uj: scratch.energy_uj[i],
             });
         }
@@ -607,7 +604,6 @@ mod tests {
             c
         });
         let mut replay = captured.into_iter();
-        // lint: allow(unwrap) — replay has one entry per kernel
         let warm = e.chain_cost_by(&chain, |_| replay.next().expect("captured cost"));
         assert_eq!(warm, cold);
     }

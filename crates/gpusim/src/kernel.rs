@@ -299,25 +299,21 @@ impl KernelBuilder {
     /// outside its documented range — kernels are produced by backend code,
     /// so a bad value is a programming error, not user input.
     pub fn build(self) -> KernelDesc {
-        // lint: allow(panic) — documented # Panics contract: backend-produced knob ranges
         assert!(
             self.global.iter().all(|&g| g > 0) && self.local.iter().all(|&l| l > 0),
             "kernel {} has a zero NDRange extent",
             self.name
         );
-        // lint: allow(panic) — documented # Panics contract: backend-produced knob ranges
         assert!(
             self.coalescing > 0.0 && self.coalescing <= 1.0,
             "kernel {}: coalescing must be in (0, 1]",
             self.name
         );
-        // lint: allow(panic) — documented # Panics contract: backend-produced knob ranges
         assert!(
             (0.0..1.0).contains(&self.cache_hit),
             "kernel {}: cache_hit must be in [0, 1)",
             self.name
         );
-        // lint: allow(panic) — documented # Panics contract: backend-produced knob ranges
         assert!(
             self.exec_efficiency > 0.0 && self.exec_efficiency <= 1.0,
             "kernel {}: exec_efficiency must be in (0, 1]",

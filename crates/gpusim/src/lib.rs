@@ -43,9 +43,6 @@
 //! assert_eq!(report.counters().jobs, 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Chrome Trace Event Format export of simulator timelines.
 pub mod chrome;
 mod device;

@@ -126,10 +126,10 @@ impl ChainTrace {
             for s in self.spans.iter().filter(|s| s.core == core) {
                 let from = ((s.start_us / self.total_us) * width as f64) as usize;
                 let to = (((s.end_us / self.total_us) * width as f64).ceil() as usize).min(width);
+                #[expect(clippy::expect_used, reason = "kernel_order is built from these spans")]
                 let idx = kernel_order
                     .iter()
                     .position(|k| *k == s.kernel)
-                    // lint: allow(unwrap) — kernel_order is built from these spans
                     .expect("kernel registered above");
                 let glyph = (b'a' + (idx % 26) as u8) as char;
                 for slot in row.iter_mut().take(to).skip(from) {
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn empty_trace_from_parts_reports_zero_utilization() {
         let t = ChainTrace::from_parts("synthetic", 2, Vec::new(), 0.0);
-        assert_eq!(t.utilization(), 0.0); // lint: allow(float-eq) — exact guard value
+        assert_eq!(t.utilization(), 0.0);
         assert_eq!(t.cores(), 2);
         assert_eq!(t.device(), "synthetic");
     }

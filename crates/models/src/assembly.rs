@@ -237,7 +237,10 @@ impl FullNetwork {
         for op in &self.ops {
             match op {
                 LayerOp::Conv(spec) => {
-                    // lint: allow(unwrap) — specs were validated by ConvLayerSpec::new
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "specs were validated by ConvLayerSpec::new"
+                    )]
                     let flops = spec.dims().flops().expect("catalog geometry valid");
                     out.push((spec.label().to_string(), flops, true));
                     hw = spec.out_hw().0;
@@ -286,10 +289,13 @@ impl FullNetwork {
                             body_c = spec.c_out();
                         }
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "specs were validated by ConvLayerSpec::new"
+                    )]
                     if let Some(proj) = projection {
                         out.push((
                             proj.label().to_string(),
-                            // lint: allow(unwrap) — specs were validated by ConvLayerSpec::new
                             proj.dims().flops().expect("catalog geometry valid"),
                             true,
                         ));

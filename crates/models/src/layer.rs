@@ -47,12 +47,10 @@ impl ConvLayerSpec {
         h_in: usize,
         w_in: usize,
     ) -> Self {
-        // lint: allow(panic) — documented precondition; with_c_out validates before reaching here
         assert!(
             kernel > 0 && stride > 0 && c_in > 0 && c_out > 0 && h_in > 0 && w_in > 0,
             "layer extents must be non-zero"
         );
-        // lint: allow(panic) — documented precondition; with_c_out validates before reaching here
         assert!(
             h_in + 2 * pad >= kernel && w_in + 2 * pad >= kernel,
             "kernel must fit the padded input"
@@ -163,10 +161,13 @@ impl ConvLayerSpec {
     ///
     /// Panics if the kernel does not fit the padded input; catalog entries
     /// are validated at construction so this cannot happen for shipped data.
+    #[expect(
+        clippy::expect_used,
+        reason = "`new` asserts the kernel fits the padded input"
+    )]
     pub fn out_hw(&self) -> (usize, usize) {
         self.dims()
             .out_hw()
-            // lint: allow(unwrap) — `new` asserts the kernel fits the padded input
             .expect("catalog layer geometry is valid")
     }
 
@@ -186,8 +187,11 @@ impl ConvLayerSpec {
     }
 
     /// Multiply–accumulate count of the layer.
+    #[expect(
+        clippy::expect_used,
+        reason = "`new` asserts the kernel fits the padded input"
+    )]
     pub fn macs(&self) -> u64 {
-        // lint: allow(unwrap) — `new` asserts the kernel fits the padded input
         self.dims().macs().expect("catalog layer geometry is valid")
     }
 

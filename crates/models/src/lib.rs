@@ -31,9 +31,6 @@
 //! assert_eq!((m, k, n), (784, 1152, 128)); // exactly Tables I–IV
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod assembly;
 mod catalog;
 mod layer;

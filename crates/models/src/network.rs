@@ -27,9 +27,7 @@ impl Network {
     pub fn new(name: impl Into<String>, layers: Vec<ConvLayerSpec>) -> Self {
         let name = name.into();
         for (i, a) in layers.iter().enumerate() {
-            // lint: allow(index) — i + 1 <= len because i comes from enumerate()
             for b in &layers[i + 1..] {
-                // lint: allow(panic) — documented # Panics contract: catalogs are static data
                 assert_ne!(a.label(), b.label(), "duplicate layer label in {name}");
             }
         }
@@ -80,7 +78,6 @@ impl Network {
         &'a self,
         counts: &'a [usize],
     ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        // lint: allow(panic) — documented # Panics contract
         assert_eq!(counts.len(), self.layers.len(), "one keep count per layer");
         self.layers
             .iter()

@@ -495,7 +495,6 @@ impl LatencyCache {
 
     /// The counter set paired with the table shard holding `digest`.
     fn shard_counters(&self, digest: u64) -> &ShardCounters {
-        // lint: allow(index) — shard_of masks with SHARDS - 1, always in-bounds
         &self.counters[shard_of(digest)]
     }
 

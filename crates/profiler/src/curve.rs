@@ -70,7 +70,10 @@ impl LatencyCurve {
     ) -> Self {
         match Self::try_new(layer_label, backend, device, points) {
             Ok(curve) => curve,
-            // lint: allow(panic) — new() is the documented panicking twin; fallible callers use try_new
+            #[expect(
+                clippy::panic,
+                reason = "new() is the documented panicking twin; fallible callers use try_new"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -93,12 +96,9 @@ impl LatencyCurve {
         if points.is_empty() {
             return Err(CurveError::Empty);
         }
-        // lint: allow(index) — windows(2) guarantees two elements
         if let Some(w) = points.windows(2).find(|w| w[0].channels >= w[1].channels) {
             return Err(CurveError::NonIncreasing {
-                // lint: allow(index) — windows(2) guarantees two elements
                 prev: w[0].channels,
-                // lint: allow(index) — windows(2) guarantees two elements
                 next: w[1].channels,
             });
         }
@@ -139,11 +139,10 @@ impl LatencyCurve {
     }
 
     /// Smallest and largest profiled channel counts.
+    #[expect(clippy::expect_used, reason = "`new` asserts at least one point")]
     pub fn channel_range(&self) -> (usize, usize) {
         (
-            // lint: allow(unwrap) — `new` asserts at least one point
             self.points.first().expect("non-empty").channels,
-            // lint: allow(unwrap) — `new` asserts at least one point
             self.points.last().expect("non-empty").channels,
         )
     }

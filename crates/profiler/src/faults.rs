@@ -314,7 +314,7 @@ impl<B: ConvBackend> ConvBackend for FaultyBackend<B> {
 ///
 /// Backoff is **accounted, never slept**: the pipeline is deterministic
 /// simulation, so a real `sleep` would add wall-clock nondeterminism
-/// (and trip the SL001 lint) without modelling anything. The accumulated
+/// (and trip the workspace's wall-clock lint) without modelling anything. The accumulated
 /// virtual backoff is reported alongside the outcome so operators can see
 /// what a deployment would have waited.
 #[derive(Debug, Clone, Copy, PartialEq)]

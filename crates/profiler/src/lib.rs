@@ -29,9 +29,6 @@
 //! assert_eq!(curve.points().len(), 69);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod cache;
 mod curve;
 pub mod faults;

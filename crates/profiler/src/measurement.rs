@@ -15,16 +15,13 @@ impl Measurement {
     ///
     /// Panics if `runs_ms` is empty.
     pub fn from_runs(mut runs_ms: Vec<f64>) -> Self {
-        // lint: allow(panic) — documented # Panics contract: a measurement needs runs
         assert!(!runs_ms.is_empty(), "a measurement needs at least one run");
         let mut sorted = runs_ms.clone();
         sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let median_ms = if n % 2 == 1 {
-            // lint: allow(index) — n >= 1 after the non-empty assert, so n / 2 < n
             sorted[n / 2]
         } else {
-            // lint: allow(index) — even n >= 2 after the non-empty assert, so n / 2 - 1 is in-bounds
             (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
         };
         runs_ms.shrink_to_fit();

@@ -177,10 +177,9 @@ where
         for handle in handles {
             // Worker closures contain every item panic via catch_unwind,
             // so the thread itself cannot unwind.
-            // lint: allow(unwrap) — join only fails if the worker panicked
+            #[expect(clippy::expect_used, reason = "join only fails if the worker panicked")]
             let (out, caught) = handle.join().expect("contained sweep worker cannot panic");
             for (i, r) in out {
-                // lint: allow(index) — i < items.len() from the worker's claimed index
                 slots[i] = Some(r);
             }
             panics.extend(caught);
@@ -221,6 +220,10 @@ where
 /// # Panics
 ///
 /// Propagates item panics exactly like [`ordered_parallel_map`].
+#[expect(
+    clippy::expect_used,
+    reason = "no panics were caught, so every slot filled"
+)]
 pub fn ordered_parallel_map_with_stats<T, R, F>(
     items: &[T],
     jobs: usize,
@@ -233,8 +236,11 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let (slots, panics) = contained_parallel_map_with_stats(items, jobs, stats, f);
+    #[expect(
+        clippy::panic,
+        reason = "re-raises a worker panic by contract; fallible-path closures return Result and do not panic"
+    )]
     if let Some(p) = panics.first() {
-        // lint: allow(panic) — re-raises a worker panic by contract; fallible-path closures return Result and do not panic
         panic!(
             "sweep worker panicked on item {} of {}: {}",
             p.index,
@@ -244,7 +250,6 @@ where
     }
     slots
         .into_iter()
-        // lint: allow(unwrap) — no panics were caught, so every slot filled
         .map(|slot| slot.expect("every index was claimed exactly once"))
         .collect()
 }

@@ -173,6 +173,10 @@ impl<K: TableKey, V: Copy> Shard<K, V> {
             self.bound = None;
             return 0;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into the bound's ordered digest set"
+        )]
         let digests = self
             .bound
             .take()
@@ -217,7 +221,6 @@ impl<K: TableKey + Clone + Send, V: Copy + Send> ShardedTable<K, V> {
     /// completes without an intervening call that can panic, so a
     /// panicked holder cannot have left a torn shard.
     fn lock_shard(&self, shard: usize) -> MutexGuard<'_, Shard<K, V>> {
-        // lint: allow(index) — callers pass shard_of(..) or a shard position, always < SHARDS
         self.shards[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -280,6 +283,7 @@ impl<K: TableKey + Clone + Send, V: Copy + Send> ShardedTable<K, V> {
         let mut entries: Vec<(u64, K, V)> = Vec::new();
         for i in 0..SHARDS {
             let shard = self.lock_shard(i);
+            #[expect(clippy::iter_over_hash_type, reason = "the entries are sorted below")]
             for (&digest, bucket) in &shard.buckets {
                 entries.extend(bucket.iter().map(|(k, v)| (digest, k.clone(), *v)));
             }
@@ -292,6 +296,10 @@ impl<K: TableKey + Clone + Send, V: Copy + Send> ShardedTable<K, V> {
     /// lock and panics while holding it (the chaos harness's fault).
     pub(crate) fn poison_all(&self) {
         for shard in &self.shards {
+            #[expect(
+                clippy::panic,
+                reason = "poisoning a lock takes a panic while holding it"
+            )]
             let result = std::thread::scope(|scope| {
                 scope
                     .spawn(|| {

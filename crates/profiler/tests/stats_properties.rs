@@ -8,6 +8,13 @@
 //! miss accounting: before PR 5, two workers racing on the same fresh key
 //! both counted a miss, so the hit/miss split depended on the schedule.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use std::sync::Arc;
 
 use proptest::prelude::*;

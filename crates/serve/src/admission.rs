@@ -88,7 +88,6 @@ pub fn simulate(requests: &[(f64, &str)], config: &AdmissionConfig) -> Vec<Admis
     let mut outcomes = Vec::with_capacity(requests.len());
     for &(arrival, device) in requests {
         let worker = worker_for_device(device, workers);
-        // lint: allow(index) — worker < workers by construction
         let lane = &mut finishes[worker];
         let depth = lane.iter().filter(|&&f| f > arrival).count();
         if depth > config.queue_capacity {

@@ -122,7 +122,7 @@ fn reason(status: u16) -> &'static str {
 /// Writes one complete HTTP/1.1 response (status line, minimal headers,
 /// `body` plus a trailing newline) and flushes.
 ///
-/// This is a panic-path root: it runs on the daemon's per-connection
+/// This is on the fallible surface: it runs on the daemon's per-connection
 /// write path where the peer may vanish at any byte, so every failure
 /// must surface as an `Err` for the worker to log and drop — never a
 /// panic that takes a worker thread (and its queue) down.

@@ -33,8 +33,6 @@
 //! [`pruneperf_profiler::Stats`] registry for the `--stats` side channel,
 //! and each catalog network's accuracy model, built once on first use.
 
-#![forbid(unsafe_code)]
-
 pub mod admission;
 pub mod catalog;
 pub mod http;

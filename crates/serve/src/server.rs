@@ -269,6 +269,10 @@ fn dispatch(
     shed: &AtomicU64,
     refused: &AtomicU64,
 ) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the peer deadline is wall time by design, and no reply depends on it"
+    )]
     let mut reader = BufReader::new(DeadlineReader {
         stream: &stream,
         deadline: Instant::now() + PEER_TIMEOUT,
@@ -342,6 +346,10 @@ struct DeadlineReader<'a> {
 
 impl Read for DeadlineReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the peer deadline is wall time by design, and no reply depends on it"
+        )]
         let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(io::Error::new(

@@ -100,7 +100,6 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
                 for i in i0..i_end {
                     for kk in k0..k_end {
                         let aik = a.at(i, kk);
-                        // lint: allow(float-eq) — exact-zero sparsity skip
                         if aik == 0.0 {
                             continue;
                         }

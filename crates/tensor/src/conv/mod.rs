@@ -42,8 +42,11 @@ impl Conv2dParams {
     ///
     /// Panics if `stride` is zero; use [`Conv2dParams::try_new`] to handle
     /// that case gracefully.
+    #[expect(
+        clippy::expect_used,
+        reason = "the zero-stride panic is documented above"
+    )]
     pub fn new(stride: usize, pad: usize) -> Self {
-        // lint: allow(unwrap) — the zero-stride panic is documented above
         Self::try_new(stride, pad).expect("stride must be at least 1")
     }
 

@@ -9,9 +9,9 @@
 use crate::{Tensor, TensorError};
 
 /// Element-wise rectified linear unit.
+#[expect(clippy::expect_used, reason = "maps an existing tensor element-wise")]
 pub fn relu(t: &Tensor) -> Tensor {
     Tensor::from_vec(t.shape(), t.as_slice().iter().map(|v| v.max(0.0)).collect())
-        // lint: allow(unwrap) — maps an existing tensor element-wise
         .expect("same shape, same length")
 }
 

@@ -66,7 +66,6 @@ impl Tensor {
     /// Panics if any axis extent is zero.
     pub fn from_fn(shape: impl Into<Shape4>, f: impl FnMut(usize) -> f32) -> Self {
         let shape = shape.into();
-        // lint: allow(panic) — documented # Panics contract: zero extents are caller bugs
         assert!(
             !shape.has_zero_dim(),
             "Tensor::from_fn requires non-empty shape, got {shape}"

@@ -1,6 +1,13 @@
 //! Property-based cross-validation of the convolution algorithms and the
 //! channel-pruning transforms.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use proptest::prelude::*;
 use pruneperf_tensor::conv::{direct, im2col_gemm, winograd, Conv2dParams};
 use pruneperf_tensor::prune;

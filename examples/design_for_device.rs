@@ -15,6 +15,13 @@
 //! cargo run --release --example design_for_device
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example fails fast on a catalog or plan error"
+)]
+
 use pruneperf::backends::AclDirectTuned;
 use pruneperf::models::mobilenet_v1;
 use pruneperf::prelude::*;

@@ -6,6 +6,13 @@
 //! cargo run --release --example library_shootout
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example fails fast on a catalog or plan error"
+)]
+
 use pruneperf::backends::all_backends;
 use pruneperf::prelude::*;
 

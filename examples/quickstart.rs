@@ -5,6 +5,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example fails fast on a catalog or plan error"
+)]
+
 use pruneperf::prelude::*;
 
 fn main() {

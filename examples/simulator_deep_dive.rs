@@ -6,6 +6,13 @@
 //! cargo run --release --example simulator_deep_dive
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example fails fast on a catalog or plan error"
+)]
+
 use pruneperf::prelude::*;
 
 fn main() {

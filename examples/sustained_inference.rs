@@ -11,6 +11,13 @@
 //! cargo run --release --example sustained_inference
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example fails fast on a catalog or plan error"
+)]
+
 use pruneperf::prelude::*;
 use pruneperf::profiler::{NetworkRunner, ThermalGovernor};
 

@@ -6,14 +6,14 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt =="
 cargo fmt --all --check
 
-echo "== clippy =="
+echo "== source rules (clippy: workspace lints + clippy.toml) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests =="
 cargo test --workspace
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "== static analysis (lint + audit + check) =="
+echo "== analyzers (lint: PA, audit: NV/TA, check: CC/RB) =="
 cargo run --release -- lint --deny-warnings
 cargo run --release -- audit --deny-warnings
 cargo run --release -q -- audit --json --jobs 1 > /tmp/pruneperf-audit-seq.json

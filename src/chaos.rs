@@ -169,10 +169,10 @@ impl Drop for HookGuard {
     }
 }
 
+#[expect(clippy::expect_used, reason = "the static catalog always carries L16")]
 fn layer() -> ConvLayerSpec {
     resnet50()
         .layer("ResNet.L16")
-        // lint: allow(unwrap) — the static catalog always carries L16
         .expect("catalog has L16")
         .clone()
 }
@@ -255,9 +255,9 @@ fn worker_panic(seed: u64, rate: f64) -> ChaosScenario {
     let items: Vec<usize> = (0..PANIC_ITEMS).collect();
     let (slots, panics) = sweep::contained_parallel_map(&items, sweep::sweep_jobs(), |&i| {
         assert!(!plan.panics_at(i), "injected worker panic at item {i}");
+        #[expect(clippy::expect_used, reason = "60..108 is within L16's 1..=128 range")]
         let pruned = base
             .with_c_out(60 + i)
-            // lint: allow(unwrap) — 60..108 is within L16's 1..=128 range
             .expect("60..108 is within the layer's range");
         clean.latency_ms(&pruned, &device)
     });
@@ -295,8 +295,8 @@ fn poison_recovery(seed: u64) -> ChaosScenario {
     // Seed shifts which configurations are warmed, so different chaos
     // seeds exercise different shards.
     let start = 60 + (seed % 8) as usize;
+    #[expect(clippy::expect_used, reason = "60..84 is within L16's 1..=128 range")]
     let configs: Vec<ConvLayerSpec> = (start..start + 16)
-        // lint: allow(unwrap) — 60..84 is within L16's 1..=128 range
         .map(|c| base.with_c_out(c).expect("within range"))
         .collect();
     let before: Vec<(f64, f64)> = configs
@@ -312,9 +312,9 @@ fn poison_recovery(seed: u64) -> ChaosScenario {
         .iter()
         .zip(&after)
         .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits());
+    #[expect(clippy::expect_used, reason = "40 is within L16's 1..=128 range")]
     let fresh = cache.cost(
         &backend,
-        // lint: allow(unwrap) — 40 is within L16's 1..=128 range
         &base.with_c_out(40).expect("within range"),
         &device,
     );

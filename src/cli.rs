@@ -67,7 +67,7 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ("gantt", "network= layer= backend= device= channels=", cmd_gantt),
     ("sensitivity", "network= backend= device=", cmd_sensitivity),
     ("report", "network= backend= device= budget=", cmd_report),
-    ("lint", "json deny-warnings root=", cmd_lint),
+    ("lint", "json deny-warnings", cmd_lint),
     ("audit", "json deny-warnings", cmd_audit),
     ("check", "json deny-warnings root=", cmd_check),
     ("chaos", "seed= faults= json trace-out=", cmd_chaos),
@@ -159,9 +159,9 @@ impl Flags {
 
 /// Writes a side-channel artifact (trace, stats snapshot, bench report).
 ///
-/// Part of the fallible API surface (a `PN` reachability root): a full
-/// disk or bad path must surface as a [`CliError`], never a panic, since
-/// long-running `serve` processes hit these writes repeatedly.
+/// Part of the fallible API surface (an `RB004` root): a full disk or bad
+/// path must surface as a [`CliError`], never a panic, since long-running
+/// `serve` processes hit these writes repeatedly.
 fn try_write_file(path: &str, contents: &str, what: &str) -> Result<(), CliError> {
     std::fs::write(path, contents).map_err(|e| err(format!("cannot write {what} to '{path}': {e}")))
 }
@@ -188,16 +188,18 @@ commands:
             per-layer latency/accuracy response at 75/50/25% kept channels
   report    --network N [--backend B] [--device D] [--budget F]
             markdown pruning-campaign report (staircases, plans, verdict)
-  lint      [--json] [--deny-warnings] [--root PATH]
+  lint      [--json] [--deny-warnings]
             static analysis: audit every backend's dispatch plans against
-            the paper invariants and lint the sources for determinism
+            the paper invariants (PA); the source rules run under
+            `cargo clippy`
   audit     [--json] [--deny-warnings]
             verify whole-network dataflow (stock + pruned assemblies,
             greedy pruning plans) and audit simulator schedule traces
   check     [--json] [--deny-warnings] [--root PATH]
-            concurrency, panic-path & resource analysis: lock-order
-            cycles, guards held across fan-out, panic sources on the
-            fallible API, and unbounded growth or recursion (CC/PN/RB)
+            concurrency & resource analysis of the sources under --root
+            (default: this checkout): lock-order cycles, guards held
+            across fan-out, and unbounded growth or recursion (CC/RB);
+            a root with no .rs file under it is an error
   chaos     [--seed S] [--faults RATE] [--jobs N] [--json] [--trace-out PATH]
             deterministic fault-injection drill: transient-fault retries,
             permanent-fault curve gaps, contained worker panics, poisoned
@@ -347,14 +349,22 @@ fn cmd_profile(f: &Flags) -> Result<String, CliError> {
     }
 }
 
+/// The `--budget` latency fraction (default 0.8), refused outside (0, 1]
+/// — the greedy's precondition — so `nan` and `2` fail here, not in it.
+fn budget_fraction(f: &Flags) -> Result<f64, CliError> {
+    let budget: f64 = f.num("budget", 0.8, "a number in (0, 1]")?;
+    if budget > 0.0 && budget <= 1.0 {
+        Ok(budget)
+    } else {
+        Err(err("--budget must be a number in (0, 1]"))
+    }
+}
+
 fn cmd_prune(f: &Flags) -> Result<String, CliError> {
     let device = device_by_name(f.str("device", "hikey970"))?;
     let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
     let network = network_by_name(f.str("network", ""))?;
-    let budget: f64 = f.num("budget", 0.8, "a number in (0, 1]")?;
-    if !(budget > 0.0 && budget <= 1.0) {
-        return Err(err("--budget must be a number in (0, 1]"));
-    }
+    let budget = budget_fraction(f)?;
     let profiler = LayerProfiler::noiseless(&device);
     let accuracy = AccuracyModel::for_network(&network);
     let pruner = PerfAwarePruner::new(&profiler, &accuracy);
@@ -484,10 +494,10 @@ fn analyzer_verdict(f: &Flags, report: &pruneperf_analysis::Report) -> Result<St
 }
 
 fn cmd_lint(f: &Flags) -> Result<String, CliError> {
-    let root = f.str("root", env!("CARGO_MANIFEST_DIR"));
-    let report = pruneperf_analysis::run_full(Path::new(root), sweep::sweep_jobs())
-        .map_err(|e| err(format!("lint: cannot read sources under '{root}': {e}")))?;
-    analyzer_verdict(f, &report)
+    analyzer_verdict(
+        f,
+        &pruneperf_analysis::audit_paper_grid(sweep::sweep_jobs()),
+    )
 }
 
 fn cmd_check(f: &Flags) -> Result<String, CliError> {
@@ -752,7 +762,7 @@ fn cmd_report(f: &Flags) -> Result<String, CliError> {
     let device = device_by_name(f.str("device", "hikey970"))?;
     let backend = backend_by_name(f.str("backend", "acl-gemm"))?;
     let network = network_by_name(f.str("network", ""))?;
-    let budget = f.num("budget", 0.8, "a number in (0, 1]")?;
+    let budget = budget_fraction(f)?;
     let profiler = LayerProfiler::noiseless(&device);
     let accuracy = AccuracyModel::for_network(&network);
     Ok(report::campaign_report(
@@ -1235,6 +1245,15 @@ mod tests {
             (
                 &["prune", "--network", "alexnet", "--budget", "2.0"],
                 "--budget",
+            ),
+            // `report` refuses the budgets `prune` does, before planning.
+            (
+                &["report", "--network", "alexnet", "--budget", "2.0"],
+                "--budget must be a number in (0, 1]",
+            ),
+            (
+                &["report", "--network", "alexnet", "--budget", "nan"],
+                "--budget must be a number in (0, 1]",
             ),
             // Unknown flags are refused, not ignored, by every command.
             (

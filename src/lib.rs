@@ -34,8 +34,6 @@
 //! assert!(!staircase.optimal_points().is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod chaos;
 pub mod cli;
 

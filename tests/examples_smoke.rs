@@ -7,6 +7,13 @@
 //! cargo test --release --test examples_smoke -- --ignored
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use std::process::Command;
 
 fn run_example(name: &str) {

@@ -1,7 +1,7 @@
 //! Golden JSON-*schema* snapshot tests for every machine-readable CLI
 //! surface (PR 5 satellite).
 //!
-//! Values in `lint --json` (file counts) and `bench --json` (virtual
+//! Values in `check --json` (file counts) and `bench --json` (virtual
 //! metrics) legitimately move as the codebase grows, so these goldens pin
 //! the *shape* instead: key names, key order, nesting and value types.
 //! A renamed or reordered field — the thing that silently breaks a
@@ -16,6 +16,13 @@
 //! ```text
 //! PRUNEPERF_UPDATE_GOLDENS=1 cargo test --test golden_schemas
 //! ```
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
 
 use std::path::PathBuf;
 

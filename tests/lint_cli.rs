@@ -1,6 +1,14 @@
-//! End-to-end behaviour of `pruneperf lint`: clean on this tree, golden
-//! (byte-identical) across worker counts and consecutive runs, and a
-//! nonzero exit when a fixture seeds violations.
+//! End-to-end behaviour of the analyzer commands `pruneperf lint` and
+//! `pruneperf check`: `lint` is clean and golden (byte-identical) across
+//! worker counts and consecutive runs, `--deny-warnings` turns warnings
+//! into a failure, and `check` refuses a root it cannot see.
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast on a broken fixture"
+)]
 
 use pruneperf::cli::{run_cli, CliError};
 
@@ -9,9 +17,9 @@ fn run(args: &[&str]) -> Result<String, CliError> {
     run_cli(&v)
 }
 
-fn fixture(name: &str) -> String {
+fn check_fixture(name: &str) -> String {
     format!(
-        "{}/crates/analysis/tests/fixtures/{name}",
+        "{}/crates/analysis/tests/fixtures/check/{name}",
         env!("CARGO_MANIFEST_DIR")
     )
 }
@@ -30,31 +38,49 @@ fn lint_is_clean_and_golden_on_this_tree() {
     assert!(sequential.contains("\"warnings\": 0"), "{sequential}");
 }
 
-/// Seeded source violations make the command fail (the binary maps the
-/// `Err` to a nonzero exit), with the rule ids in the rendered output.
-#[test]
-fn lint_fails_on_seeded_violations() {
-    let err = run(&["lint", "--root", &fixture("dirty")]).expect_err("dirty fixture must fail");
-    for rule in [
-        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
-    ] {
-        assert!(err.0.contains(rule), "missing {rule} in:\n{}", err.0);
-    }
-}
-
-/// Warnings alone pass by default and fail under `--deny-warnings`.
+/// Warnings alone pass by default and fail under `--deny-warnings`: the
+/// `rb002` fixture seeds one warning-severity finding and nothing else.
 #[test]
 fn deny_warnings_promotes_warnings_to_failure() {
-    let ok = run(&["lint", "--root", &fixture("warn_only")]).expect("warnings pass by default");
-    assert!(ok.contains("0 error(s)"), "{ok}");
-    let err = run(&["lint", "--root", &fixture("warn_only"), "--deny-warnings"])
+    let root = check_fixture("rb002");
+    let ok = run(&["check", "--root", &root]).expect("warnings pass by default");
+    assert!(ok.contains("0 error(s), 1 warning(s)"), "{ok}");
+    let err = run(&["check", "--root", &root, "--deny-warnings"])
         .expect_err("--deny-warnings must fail on warnings");
-    assert!(err.0.contains("SL005"), "{}", err.0);
+    assert!(err.0.contains("RB002"), "{}", err.0);
 }
 
-/// Unknown flags are reported, not ignored.
+/// A root with no `.rs` file under it — a mistyped path, or an empty
+/// directory — is an error naming the root, not a clean pass over
+/// nothing.
+#[test]
+fn check_refuses_a_root_without_sources() {
+    let empty = std::env::temp_dir().join(format!("pruneperf-empty-root-{}", std::process::id()));
+    std::fs::create_dir_all(&empty).unwrap();
+    let root = empty.to_string_lossy().into_owned();
+    let err = run(&["check", "--root", &root, "--deny-warnings"])
+        .expect_err("an empty root must not pass");
+    assert!(
+        err.0
+            .contains(&format!("cannot read sources under '{root}'")),
+        "{}",
+        err.0
+    );
+    std::fs::remove_dir_all(&empty).ok();
+    let missing = run(&["check", "--root", "/nonexistent/pruneperf-root"])
+        .expect_err("a missing root must not pass");
+    assert!(
+        missing.0.contains("/nonexistent/pruneperf-root"),
+        "{}",
+        missing.0
+    );
+}
+
+/// Unknown flags are reported, not ignored; `lint` has no `--root`.
 #[test]
 fn lint_rejects_unknown_flags() {
-    let err = run(&["lint", "--format", "json"]).expect_err("unknown flag");
-    assert!(err.0.contains("unexpected argument"), "{}", err.0);
+    for args in [&["lint", "--format", "json"][..], &["lint", "--root", "."]] {
+        let err = run(args).expect_err("unknown flag");
+        assert!(err.0.contains("unexpected argument"), "{}", err.0);
+    }
 }

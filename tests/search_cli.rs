@@ -5,6 +5,13 @@
 //! table matches its golden, a closed stdout ends the output quietly, and
 //! the flag surface rejects malformed input instead of guessing.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use std::io::Read as _;
 use std::process::{Command, Stdio};
 

@@ -13,6 +13,13 @@
 //! 1,440 plan keys the benchmark records; run it in release with
 //! `--include-ignored`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails fast; its helpers unwrap like its test bodies"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 
